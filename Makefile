@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-smoke bench-compare tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
+.PHONY: build test lint verify perfbench-check bench bench-smoke bench-compare tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
 
 build:
 	$(GO) build ./...
@@ -21,13 +21,20 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/classpack-vet -timing -budget 30s ./...
 
+# perfbench-check vets and tests the benchmark under perfbench/. It is a
+# Go module of its own, so `go build ./...` at the root never compiles
+# it, and a renamed API would otherwise break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the full hygiene gate: compile everything, lint (go vet +
-# classpack-vet), then run the whole suite under the race detector.
+# classpack-vet), check the benchmark module, then run the whole suite
+# under the race detector.
 # Expected clean — the parallel pack/unpack pipeline and the bench
 # corpus cache are race-stress-tested. The service and cache layers get
 # an explicit second race pass: their retry/eviction paths are the most
 # concurrency-sensitive in the tree.
-verify: lint delta-smoke
+verify: lint delta-smoke perfbench-check
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/serve/... ./internal/castore/...

@@ -63,7 +63,7 @@ func TestUnpackAllocs(t *testing.T) {
 	}
 	_, packed := allocCorpus(t)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := UnpackN(packed, 1); err != nil {
+		if _, err := UnpackOpts(packed, &Options{Concurrency: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})

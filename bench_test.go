@@ -130,7 +130,8 @@ func BenchmarkUnpack(b *testing.B) {
 	b.SetBytes(int64(len(packed)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Unpack(packed); err != nil {
+		err := core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(*classfile.ClassFile) error { return nil })
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +200,7 @@ func BenchmarkUnpackThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := UnpackN(packed, j); err != nil {
+				if _, err := UnpackOpts(packed, &Options{Concurrency: j}); err != nil {
 					b.Fatal(err)
 				}
 			}

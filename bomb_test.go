@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"io"
 	"runtime"
 	"testing"
 
+	"classpack/internal/core"
 	"classpack/internal/encoding/varint"
 )
 
@@ -107,6 +109,63 @@ func TestOpenArchiveSizeBomb(t *testing.T) {
 	// And the honest size still opens.
 	if _, err := OpenArchive(bytes.NewReader(packed), int64(len(packed)), nil); err != nil {
 		t.Fatalf("honest open: %v", err)
+	}
+}
+
+// zeroArchive is an io.Reader yielding a 6-byte archive header and then
+// n zero bytes, counting how many bytes were read from it.
+type zeroArchive struct {
+	hdr  []byte
+	n    int64
+	read int64
+}
+
+func (z *zeroArchive) Read(p []byte) (int, error) {
+	if len(z.hdr) > 0 {
+		k := copy(p, z.hdr)
+		z.hdr = z.hdr[k:]
+		z.read += int64(k)
+		return k, nil
+	}
+	if z.n == 0 {
+		return 0, io.EOF
+	}
+	k := int(min(int64(len(p)), z.n))
+	clear(p[:k])
+	z.n -= int64(k)
+	z.read += int64(k)
+	return k, nil
+}
+
+// TestUnpackStreamBoundedRead pins the streaming reader's input bound:
+// a valid header followed by far more zeros than the decode budget
+// allows must fail with ErrTooLarge having read at most the budget plus
+// core.BodySlack. For versions 1 and 2 the zeros are the body; for
+// version 3 the first zero is the end-of-chunks sentinel and the rest is
+// the index tail.
+func TestUnpackStreamBoundedRead(t *testing.T) {
+	const budget = 1 << 20
+	// The bufio reader under the decoder reads ahead at most one 4 KiB
+	// buffer; header, sentinel and footer add a few bytes more.
+	const readAhead = 4096 + 64
+	packed, err := Pack(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []byte{1, 2, 3} {
+		hdr := append([]byte(nil), packed[:6]...)
+		hdr[4] = version
+		src := &zeroArchive{hdr: hdr, n: 16 << 20}
+		err := UnpackStream(src, func(File) error { return nil }, &Options{MaxDecodedBytes: budget})
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("v%d: UnpackStream(header + 16 MiB of zeros) = %v, want ErrTooLarge", version, err)
+		}
+		if _, ok := AsCorrupt(err); !ok {
+			t.Fatalf("v%d: rejection is not a CorruptError: %v", version, err)
+		}
+		if limit := int64(budget + core.BodySlack + readAhead); src.read > limit {
+			t.Fatalf("v%d: read %d bytes before failing, limit %d", version, src.read, limit)
+		}
 	}
 }
 

@@ -195,20 +195,20 @@ func TestChaosPristine(t *testing.T) {
 	}
 }
 
-// TestChaosVersion1 runs the bit-flip ladder over a legacy (no
-// checksum) archive. Without integrity data a flip is only detected when
-// decoding trips over it; flips that happen to decode produce silently
-// wrong bytes, so only the accounting invariants apply here. That gap —
-// observed directly by this test — is what the version-2 checksums
-// close, and TestChaosMatrix holds version 2 to the stronger
-// byte-identical-prefix guarantee.
+// TestChaosVersion1 runs the bit-flip ladder over the committed legacy
+// (no checksum) archive of the chaos corpus. Without integrity data a
+// flip is only detected when decoding trips over it; flips that happen
+// to decode produce silently wrong bytes, so only the accounting
+// invariants apply here. That gap — observed directly by this test — is
+// what the version-2 checksums close, and TestChaosMatrix holds version
+// 2 to the stronger byte-identical-prefix guarantee.
 func TestChaosVersion1(t *testing.T) {
-	_, clean := chaosCorpus(t)
-	legacy := packLegacy(t, clean)
+	legacy := goldenV1(t, "jess.v1.cjp")
 	cleanLegacy, err := Unpack(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenClasses(t, "jess.v1.cjp", cleanLegacy)
 	stride := len(legacy) / 40
 	if testing.Short() {
 		stride = len(legacy) / 8

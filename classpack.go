@@ -215,31 +215,24 @@ func parseAndStrip(files [][]byte, concurrency int) ([]*classfile.ClassFile, err
 }
 
 // Unpack decompresses a packed archive into class files using all
-// cores. Decompression is deterministic: it reproduces Strip of each
-// input file byte for byte, regardless of worker count.
+// cores. It is UnpackOpts with nil options.
 func Unpack(data []byte) ([]File, error) {
-	return UnpackN(data, 0)
+	return UnpackOpts(data, nil)
 }
 
-// UnpackN is Unpack with an explicit worker bound (0 = all cores, 1 =
-// fully serial; negative values are an error). Stream decompression
-// fans out first; classes are then decoded sequentially (reference
-// pools are stateful) and the final per-file serialization fans out
-// again, re-sequenced by index.
-func UnpackN(data []byte, concurrency int) ([]File, error) {
-	return unpackFiles(data, core.UnpackOpts{Concurrency: concurrency})
-}
-
-// UnpackOpts is Unpack with explicit decode options: Concurrency,
+// UnpackOpts decompresses a packed archive into class files, in archive
+// order. Decompression is deterministic: it reproduces Strip of each
+// input file byte for byte, regardless of worker count. Concurrency,
 // MaxDecodedBytes and MaxClassCount are honored; the coding fields are
-// ignored because the archive header fixes them. A nil opts behaves
-// like Unpack. Failures caused by the archive bytes are *CorruptError
-// values (or wrap one); cap violations additionally match ErrTooLarge.
+// ignored because the archive header fixes them. A nil opts uses all
+// cores and the default caps. Stream decompression fans out over the
+// workers first; classes are then decoded sequentially (reference pools
+// are stateful) and the final per-file serialization fans out again,
+// re-sequenced by index. Failures caused by the archive bytes are
+// *CorruptError values (or wrap one); cap violations additionally match
+// ErrTooLarge.
 func UnpackOpts(data []byte, opts *Options) ([]File, error) {
-	return unpackFiles(data, opts.unpackOpts())
-}
-
-func unpackFiles(data []byte, o core.UnpackOpts) ([]File, error) {
+	o := opts.unpackOpts()
 	if err := checkConcurrency(o.Concurrency); err != nil {
 		return nil, err
 	}
@@ -252,13 +245,9 @@ func unpackFiles(data []byte, o core.UnpackOpts) ([]File, error) {
 		return nil, err
 	}
 	out := make([]File, len(cfs))
-	err = par.Do(o.Concurrency, len(cfs), func(i int) error {
-		raw, err := classfile.Write(cfs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = File{Name: cfs[i].ThisClassName() + ".class", Data: raw}
-		return nil
+	err = par.Do(o.Concurrency, len(cfs), func(i int) (err error) {
+		out[i], err = fileOf(cfs[i])
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -266,20 +255,14 @@ func unpackFiles(data []byte, o core.UnpackOpts) ([]File, error) {
 	return out, nil
 }
 
-// UnpackEach decodes a packed archive sequentially, calling visit with
-// each class file as soon as it is complete. The archive format is
-// sequential, so an eager class loader (§11 of the paper) can define each
-// class the moment it arrives instead of caching the whole archive; order
-// the input superclass-first (see OrderForEagerLoading) so no definition
-// blocks. A visit error aborts decoding.
-func UnpackEach(data []byte, visit func(File) error) error {
-	return core.UnpackStream(data, func(cf *classfile.ClassFile) error {
-		raw, err := classfile.Write(cf)
-		if err != nil {
-			return err
-		}
-		return visit(File{Name: cf.ThisClassName() + ".class", Data: raw})
-	})
+// fileOf serializes a decoded class as its jar member: the binary name
+// plus ".class", and the class file bytes.
+func fileOf(cf *classfile.ClassFile) (File, error) {
+	raw, err := classfile.Write(cf)
+	if err != nil {
+		return File{}, err
+	}
+	return File{Name: cf.ThisClassName() + ".class", Data: raw}, nil
 }
 
 // OrderForEagerLoading reorders class files so that every superclass
@@ -470,44 +453,16 @@ func PackJar(jarData []byte, opts *Options) (packed []byte, skipped []string, er
 	return packed, skipped, err
 }
 
-// UnpackToJar decompresses a packed archive and rebuilds a conventional
-// jar file (per-file DEFLATE) from the classes, usable by any JVM.
-func UnpackToJar(data []byte) ([]byte, error) {
-	return UnpackToJarN(data, 0)
-}
-
-// UnpackToJarN is UnpackToJar with an explicit worker bound (0 = all
-// cores, 1 = serial).
-func UnpackToJarN(data []byte, concurrency int) ([]byte, error) {
-	files, err := UnpackN(data, concurrency)
-	if err != nil {
-		return nil, err
-	}
-	return jarFromFiles(files)
-}
-
-// UnpackToJarOpts is UnpackToJar with explicit decode options (see
-// UnpackOpts).
-func UnpackToJarOpts(data []byte, opts *Options) ([]byte, error) {
-	files, err := UnpackOpts(data, opts)
-	if err != nil {
-		return nil, err
-	}
-	return jarFromFiles(files)
-}
-
-func jarFromFiles(files []File) ([]byte, error) {
+// JarFromFiles builds a conventional jar (per-file DEFLATE, usable by
+// any JVM) from class files. Compose it with UnpackOpts to rebuild the
+// jar of a whole archive, or with Archive.ExtractClasses for a subset.
+func JarFromFiles(files []File) ([]byte, error) {
 	members := make([]archive.File, len(files))
 	for i, f := range files {
 		members[i] = archive.File{Name: f.Name, Data: f.Data}
 	}
 	return archive.WriteJar(members)
 }
-
-// JarFromFiles builds a conventional jar from class files — the same
-// layout UnpackToJar produces — for callers assembling subsets via
-// Archive.ExtractClasses.
-func JarFromFiles(files []File) ([]byte, error) { return jarFromFiles(files) }
 
 // Stats describes a packed archive's composition by stream category
 // (the Table 6 breakdown): compressed bytes attributed to strings,

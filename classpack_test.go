@@ -115,7 +115,11 @@ func TestJarRoundTrip(t *testing.T) {
 	if len(skipped) != 1 || skipped[0] != "logo.png" {
 		t.Fatalf("skipped = %v", skipped)
 	}
-	outJar, err := UnpackToJar(packed)
+	unpacked, err := Unpack(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outJar, err := JarFromFiles(unpacked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +185,9 @@ func TestStripIdempotent(t *testing.T) {
 	}
 }
 
+// TestUnpackEachStreamsInOrder pins the eager-loading contract of
+// UnpackStream over an in-memory archive: classes arrive one at a time,
+// in archive order, and a visit error aborts the stream.
 func TestUnpackEachStreamsInOrder(t *testing.T) {
 	files := sample(t)
 	packed, err := Pack(files, nil)
@@ -192,10 +199,10 @@ func TestUnpackEachStreamsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []string
-	err = UnpackEach(packed, func(f File) error {
+	err = UnpackStream(bytes.NewReader(packed), func(f File) error {
 		seen = append(seen, f.Name)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +217,10 @@ func TestUnpackEachStreamsInOrder(t *testing.T) {
 	// An aborting visitor stops the stream.
 	calls := 0
 	sentinel := fmt.Errorf("stop")
-	err = UnpackEach(packed, func(File) error {
+	err = UnpackStream(bytes.NewReader(packed), func(File) error {
 		calls++
 		return sentinel
-	})
+	}, nil)
 	if err != sentinel || calls != 1 {
 		t.Fatalf("abort: err=%v calls=%d", err, calls)
 	}

@@ -17,11 +17,9 @@ import (
 
 	"classpack"
 	"classpack/internal/classfile"
-	"classpack/internal/core"
 	"classpack/internal/custom"
 	"classpack/internal/faultinject"
 	"classpack/internal/jazz"
-	"classpack/internal/streams"
 	"classpack/internal/synth"
 )
 
@@ -106,10 +104,9 @@ func run() error {
 			return err
 		}
 
-		// FuzzSalvage: a pristine archive, deterministically damaged
+		// FuzzSalvage: a pristine archive and deterministically damaged
 		// mutants (one per fault class, seeded by the archive length so
-		// regeneration is stable), and the legacy checksum-free
-		// version-1 layout.
+		// regeneration is stable).
 		if err := corpusFile("testdata/fuzz/FuzzSalvage", "seed-"+profile, packed); err != nil {
 			return err
 		}
@@ -182,17 +179,6 @@ func run() error {
 			}
 		}
 
-		legacy, err := core.PackVersion(cfs, core.DefaultOptions(), core.Version1)
-		if err != nil {
-			return err
-		}
-		if err := corpusFile("testdata/fuzz/FuzzSalvage", "seed-"+profile+"-v1", legacy); err != nil {
-			return err
-		}
-		if err := corpusFile("testdata/fuzz/FuzzUnpack", "seed-"+profile+"-v1", legacy); err != nil {
-			return err
-		}
-
 		// FuzzJazzDecode: the §9 Jazz competitor's own wire format.
 		jz, err := jazz.Pack(cfs)
 		if err != nil {
@@ -214,20 +200,32 @@ func run() error {
 		}
 
 		// FuzzStreamsReader: the raw stream container from a real pack
-		// (the archive body after the 6-byte header), in both the
-		// checked (per-stream CRC + trailer) and unchecked layouts.
+		// (the archive body after the 6-byte header), checked layout.
 		if len(packed) > 6 {
 			if err := corpusFile("internal/streams/testdata/fuzz/FuzzStreamsReader",
 				"seed-"+profile, packed[6:]); err != nil {
 				return err
 			}
 		}
-		if len(legacy) > 6 {
-			if err := corpusFile("internal/streams/testdata/fuzz/FuzzStreamsReader",
-				"seed-"+profile+"-unchecked", legacy[6:]); err != nil {
-				return err
-			}
+	}
+
+	// The legacy version-1 layout (no checksums) is no longer written, so
+	// its seeds are copied from the committed golden archive: the whole
+	// archive for unpack and salvage, its body as the unchecked container.
+	// The per-profile "-v1", "-unchecked" and "seed-small" seeds already
+	// checked in came from the same layout and are kept as they are.
+	legacy, err := os.ReadFile("testdata/golden/hanoi.v1.cjp")
+	if err != nil {
+		return err
+	}
+	for _, target := range []string{"FuzzUnpack", "FuzzSalvage"} {
+		if err := corpusFile("testdata/fuzz/"+target, "seed-golden-hanoi-v1", legacy); err != nil {
+			return err
 		}
+	}
+	if err := corpusFile("internal/streams/testdata/fuzz/FuzzStreamsReader",
+		"seed-golden-hanoi-unchecked", legacy[6:]); err != nil {
+		return err
 	}
 
 	// FuzzCustomDecode: a dictionary and rewritten sequence from a real
@@ -245,14 +243,5 @@ func run() error {
 			return err
 		}
 	}
-
-	// An empty container and a tiny hand-rolled one for the streams walker.
-	w := streams.NewWriter()
-	w.Stream("seed.ints").Uint(1 << 20)
-	w.Stream("seed.raw").Write([]byte("seed"))
-	small, err := w.Finish(false)
-	if err != nil {
-		return err
-	}
-	return corpusFile("internal/streams/testdata/fuzz/FuzzStreamsReader", "seed-small", small)
+	return nil
 }

@@ -457,9 +457,13 @@ func cmdUnpack(args []string) error {
 	if salvage {
 		return salvageUnpack(data, dir, jarOut, j)
 	}
+	start := time.Now()
+	out, err := classpack.UnpackOpts(data, &classpack.Options{Concurrency: j})
+	if err != nil {
+		return err
+	}
 	if jarOut != "" {
-		start := time.Now()
-		jar, err := classpack.UnpackToJarN(data, j)
+		jar, err := classpack.JarFromFiles(out)
 		if err != nil {
 			return err
 		}
@@ -471,11 +475,6 @@ func cmdUnpack(args []string) error {
 			jarOut, len(data), len(jar), elapsed.Round(time.Millisecond),
 			throughput(len(jar), elapsed))
 		return nil
-	}
-	start := time.Now()
-	out, err := classpack.UnpackN(data, j)
-	if err != nil {
-		return err
 	}
 	elapsed := time.Since(start)
 	total := 0

@@ -2,34 +2,18 @@ package classpack
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"classpack/internal/core"
+	"classpack/internal/streams"
 )
 
-// packLegacy packs already-canonicalized class bytes into a version-1
-// (checksum-free) archive, the layout every pre-integrity release wrote.
-func packLegacy(t testing.TB, files []File) []byte {
-	t.Helper()
-	raw := make([][]byte, len(files))
-	for i, f := range files {
-		raw[i] = f.Data
-	}
-	cfs, err := parseAndStrip(raw, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := core.PackVersion(cfs, (*Options)(nil).core(), core.Version1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return packed
-}
-
-// TestLegacyVersion1RoundTrip pins backward compatibility: a version-1
-// archive (no per-stream checksums, no trailer) must still unpack
-// byte-identically through the same Unpack entry point, dispatching on
-// the header's version byte.
+// TestLegacyVersion1RoundTrip pins backward compatibility: a committed
+// version-1 archive (no per-stream checksums, no trailer) must still
+// unpack byte-identically through the same Unpack entry point,
+// dispatching on the header's version byte.
 func TestLegacyVersion1RoundTrip(t *testing.T) {
 	files := sample(t)
 	stripped := make([][]byte, len(files))
@@ -46,14 +30,7 @@ func TestLegacyVersion1RoundTrip(t *testing.T) {
 	if current[4] != core.Version2 {
 		t.Fatalf("Pack emits version %d, want %d", current[4], core.Version2)
 	}
-	clean, err := Unpack(current)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := packLegacy(t, clean)
-	if legacy[4] != core.Version1 {
-		t.Fatalf("legacy archive has version %d, want %d", legacy[4], core.Version1)
-	}
+	legacy := goldenV1(t, "hanoi.v1.cjp")
 	if len(legacy) >= len(current) {
 		t.Fatalf("legacy archive (%d bytes) not smaller than checked archive (%d bytes)",
 			len(legacy), len(current))
@@ -62,6 +39,7 @@ func TestLegacyVersion1RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unpack(version-1 archive): %v", err)
 	}
+	checkGoldenClasses(t, "hanoi.v1.cjp", out)
 	if len(out) != len(stripped) {
 		t.Fatalf("legacy unpack: %d files, want %d", len(out), len(stripped))
 	}
@@ -93,39 +71,40 @@ func TestCheckedArchiveDeterministicAcrossConcurrency(t *testing.T) {
 		} else if !bytes.Equal(packed, want) {
 			t.Fatalf("Concurrency=%d: checked archive differs from serial archive", j)
 		}
-		if _, err := UnpackN(packed, j); err != nil {
-			t.Fatalf("UnpackN(j=%d) of checked archive: %v", j, err)
+		if _, err := UnpackOpts(packed, &Options{Concurrency: j}); err != nil {
+			t.Fatalf("UnpackOpts(j=%d) of checked archive: %v", j, err)
 		}
 	}
 }
 
 // TestChecksumOverhead pins the acceptance bound: the integrity layer
-// (4 bytes per stream + 4-byte trailer) must cost at most 0.5% of the
-// packed size on a bench-scale corpus.
+// of a version-2 body — a 4-byte CRC32C after each stream's payload plus
+// a 4-byte trailer — must cost at most 0.5% of the packed size on a
+// bench-scale corpus. The layout is measured with streams.Sections: each
+// payload must be followed by its own checksum, and the body must end
+// with the checksum of everything before it.
 func TestChecksumOverhead(t *testing.T) {
-	_, clean := chaosCorpus(t)
-	raw := make([][]byte, len(clean))
-	for i, f := range clean {
-		raw[i] = f.Data
-	}
-	cfs, err := parseAndStrip(raw, 0)
+	packed, _ := chaosCorpus(t)
+	body := packed[6:]
+	secs, err := streams.Sections(body, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := core.PackVersion(cfs, (*Options)(nil).core(), core.Version1)
-	if err != nil {
-		t.Fatal(err)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, s := range secs {
+		end := s.Off + s.Len
+		payload := body[s.Off:end]
+		if got := binary.BigEndian.Uint32(body[end:]); got != crc32.Checksum(payload, castagnoli) {
+			t.Fatalf("stream %s: the 4 bytes after its payload are not its CRC32C", s.Name)
+		}
 	}
-	v2, err := core.PackVersion(cfs, (*Options)(nil).core(), core.Version2)
-	if err != nil {
-		t.Fatal(err)
+	trailer := len(body) - 4
+	if binary.BigEndian.Uint32(body[trailer:]) != crc32.Checksum(body[:trailer], castagnoli) {
+		t.Fatal("body does not end with the CRC32C of everything before it")
 	}
-	overhead := len(v2) - len(v1)
-	if overhead <= 0 {
-		t.Fatalf("checked archive not larger: v1 %d, v2 %d", len(v1), len(v2))
-	}
-	if 200*overhead > len(v1) {
-		t.Fatalf("checksum overhead %d bytes is more than 0.5%% of %d packed bytes",
-			overhead, len(v1))
+	overhead := 4*len(secs) + 4
+	if 200*overhead > len(packed)-overhead {
+		t.Fatalf("checksum overhead %d bytes is more than 0.5%% of %d unchecked bytes",
+			overhead, len(packed)-overhead)
 	}
 }

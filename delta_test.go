@@ -301,12 +301,7 @@ func TestDeltaCaps(t *testing.T) {
 
 // TestDeltaVersion1Target: version-1 archives cannot be delta targets.
 func TestDeltaVersion1Target(t *testing.T) {
-	raw := sample(t)
-	asFiles := make([]File, len(raw))
-	for i, d := range raw {
-		asFiles[i] = File{Data: d}
-	}
-	v1arc := packLegacy(t, asFiles)
+	v1arc := goldenV1(t, "hanoi.v1.cjp")
 	opts := DefaultOptions()
 	opts.ChunkClasses = 8
 	v3arc, err := Pack(sample(t), &opts)

@@ -573,7 +573,8 @@ func Table7(scale float64) ([]T7Row, error) {
 		}
 		compSecs := time.Since(start).Seconds()
 		start = time.Now()
-		if _, err := core.Unpack(packed); err != nil {
+		err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(*classfile.ClassFile) error { return nil })
+		if err != nil {
 			return nil, err
 		}
 		decompSecs := time.Since(start).Seconds()

@@ -12,6 +12,19 @@ import (
 	"classpack/internal/synth"
 )
 
+// unpackAll decodes an in-memory archive into its classes.
+func unpackAll(data []byte) ([]*classfile.ClassFile, error) {
+	var out []*classfile.ClassFile
+	err := UnpackStreamOpts(data, UnpackOpts{}, func(cf *classfile.ClassFile) error {
+		out = append(out, cf)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // buildTestClasses assembles a small multi-class "application" exercising
 // shared packages, method/field references of every kind, all constant
 // types, exception handlers, switches, and inner classes.
@@ -224,7 +237,7 @@ func roundTrip(t *testing.T, opts Options) {
 	if err != nil {
 		t.Fatalf("Pack: %v", err)
 	}
-	back, err := Unpack(packed)
+	back, err := unpackAll(packed)
 	if err != nil {
 		t.Fatalf("Unpack: %v", err)
 	}
@@ -295,18 +308,18 @@ func TestUnpackErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unpack(nil); err == nil {
-		t.Error("Unpack(nil) succeeded")
+	if _, err := unpackAll(nil); err == nil {
+		t.Error("unpackAll(nil) succeeded")
 	}
-	if _, err := Unpack([]byte("XXXXXX")); err == nil {
+	if _, err := unpackAll([]byte("XXXXXX")); err == nil {
 		t.Error("Unpack of junk succeeded")
 	}
 	bad := append([]byte(nil), packed...)
 	bad[4] = 99
-	if _, err := Unpack(bad); err == nil {
+	if _, err := unpackAll(bad); err == nil {
 		t.Error("Unpack of wrong version succeeded")
 	}
-	if _, err := Unpack(packed[:len(packed)/2]); err == nil {
+	if _, err := unpackAll(packed[:len(packed)/2]); err == nil {
 		t.Error("Unpack of truncated archive succeeded")
 	}
 }
@@ -390,7 +403,7 @@ func TestPreloadFlagTravelsInHeader(t *testing.T) {
 		t.Fatalf("header options = %+v, want %+v", decodeOptions(packed[5]), opts)
 	}
 	// Decoding uses the header bit; no options are supplied to Unpack.
-	if _, err := Unpack(packed); err != nil {
+	if _, err := unpackAll(packed); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -417,7 +430,7 @@ func TestLargeCorpusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unpack(packed)
+	back, err := unpackAll(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +450,7 @@ func TestEmptyArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Unpack(packed)
+	out, err := unpackAll(packed)
 	if err != nil {
 		t.Fatal(err)
 	}

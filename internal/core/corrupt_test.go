@@ -22,7 +22,7 @@ func TestUnpackNeverPanicsOnCorruptInput(t *testing.T) {
 				t.Fatalf("Unpack panicked on corrupt input: %v", r)
 			}
 		}()
-		_, _ = Unpack(data)
+		_, _ = unpackAll(data)
 	}
 	// Single-byte flips across the whole archive.
 	for trial := 0; trial < 3000; trial++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 
 	"classpack/internal/bytecode"
@@ -38,47 +39,22 @@ type UnpackOpts struct {
 	MaxClassCount int
 }
 
-// Unpack decodes a packed archive back into classfiles using all cores
-// for stream decompression. Decompression is deterministic: the result
-// is byte-for-byte the stripped input of Pack regardless of worker
-// count.
-func Unpack(data []byte) ([]*classfile.ClassFile, error) {
-	return UnpackN(data, 0)
-}
+// BodySlack bounds how much larger than its decode budget a container
+// body may be. Encoded streams never exceed their raw size (store is the
+// fallback coding), so a valid body is at most the decoded bytes plus
+// directory overhead: names, varints and CRCs. Readers that buffer a
+// body from a stream or a caller-declared size cap the read at budget +
+// BodySlack.
+const BodySlack = 1 << 16
 
-// UnpackN is Unpack with an explicit worker bound for stream
-// decompression (0 = all cores, 1 = serial).
-func UnpackN(data []byte, concurrency int) ([]*classfile.ClassFile, error) {
-	var out []*classfile.ClassFile
-	err := UnpackStreamOpts(data, UnpackOpts{Concurrency: concurrency}, func(cf *classfile.ClassFile) error {
-		out = append(out, cf)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// UnpackStream decodes the archive sequentially, invoking visit as each
-// class becomes complete — the wire format is sequential (§2), so an eager
-// class loader (§11) can define classes as they arrive instead of caching
-// the archive. A visit error aborts decoding and is returned verbatim.
-func UnpackStream(data []byte, visit func(*classfile.ClassFile) error) error {
-	return UnpackStreamN(data, 0, visit)
-}
-
-// UnpackStreamN is UnpackStream with an explicit worker bound for the
-// up-front stream decompression (0 = all cores, 1 = serial). Class
-// decoding itself stays sequential: reference pools are stateful, so
-// each class's references depend on every class before it.
-func UnpackStreamN(data []byte, concurrency int, visit func(*classfile.ClassFile) error) error {
-	return UnpackStreamOpts(data, UnpackOpts{Concurrency: concurrency}, visit)
-}
-
-// UnpackStreamOpts is UnpackStream with explicit decode options. Any
-// failure caused by the archive bytes (as opposed to a visit error) is
-// a *corrupt.Error or wraps one.
+// UnpackStreamOpts decodes an in-memory archive, invoking visit as each
+// class becomes complete. The wire format is sequential (§2), so an
+// eager class loader (§11) can define classes as they arrive. A
+// version-1/2 body decodes in place; a version-3 archive goes through
+// the same chunk walker as UnpackReader, so its trailing index is
+// verified after the last class is visited. A visit error aborts
+// decoding and is returned verbatim; any other failure caused by the
+// archive bytes is a *corrupt.Error or wraps one.
 func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
 	opts, err := header(data)
 	if err != nil {
@@ -88,12 +64,60 @@ func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile
 	// data, v2 verifies per-stream and trailer CRC32Cs before decoding,
 	// v3 is a sequence of checked chunks plus a trailing class index.
 	if data[4] == Version3 {
-		return unpackV3(data, o, visit)
+		return UnpackReader(bytes.NewReader(data), o, visit)
 	}
-	_, err = DecodeChunk(opts, data[6:], data[4] != Version1, o, func(ord int, cf *classfile.ClassFile) error {
+	_, err = DecodeChunk(opts, data[6:], data[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
 		return visit(cf)
 	})
 	return err
+}
+
+// DecodeChunk decodes one container body — a version-3 chunk, or the
+// whole body of a version-1/2 archive — invoking visit with each class
+// and its ordinal within the body. checked selects the container layout
+// (true for every version-3 chunk and version-2 body). It returns the
+// decoded wire-stream bytes the body expanded to, which is what
+// MaxDecodedBytes budgets; callers decoding several chunks charge a
+// shared budget by shrinking o.MaxDecodedBytes as they go.
+func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int64, error) {
+	var r *streams.Reader
+	var err error
+	if checked {
+		r, err = streams.NewCheckedReaderLimit(body, o.Concurrency, o.MaxDecodedBytes)
+	} else {
+		r, err = streams.NewReaderLimit(body, o.Concurrency, o.MaxDecodedBytes)
+	}
+	if err != nil {
+		return 0, err
+	}
+	_, _, err = newUnpacker(opts, r).classes(effectiveMaxClasses(o), visit)
+	return r.DecodedBytes(), err
+}
+
+// classes is the per-class decode loop of every body decoder: it reads
+// the body's class count, checks it against maxClasses, then decodes the
+// classes in order and hands each to visit. It returns the declared
+// count (-1 when unreadable or over the cap) and, on failure, the index
+// of the class where decoding stopped (-1 when it stopped before the
+// first class). A visit error is returned verbatim.
+func (u *unpacker) classes(maxClasses int, visit func(ord int, cf *classfile.ClassFile) error) (declared, stopped int, err error) {
+	count, err := u.meta.Uint()
+	if err != nil {
+		return -1, -1, fmt.Errorf("core: class count: %w", err)
+	}
+	if count > uint64(maxClasses) {
+		return -1, -1, corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
+	}
+	for i := 0; i < int(count); i++ {
+		cf, err := u.class()
+		if err != nil {
+			return int(count), i, fmt.Errorf("core: unpack class %d: %w", i, err)
+		}
+		if err := visit(i, cf); err != nil {
+			return int(count), i, err
+		}
+	}
+	return int(count), -1, nil
 }
 
 // header validates the 6-byte archive header and returns the coding
@@ -159,6 +183,9 @@ type msigEntry struct {
 	ret      classfile.Type
 }
 
+// newUnpacker returns a class decoder over one container's streams, its
+// reference pools seeded with the standard table when the archive
+// header asks for preloading.
 func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 	u := &unpacker{
 		opts:       opts,
@@ -173,6 +200,9 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 	for i := range u.decs {
 		u.decs[i], _ = refs.NewDecoder(opts.Scheme)
 		u.members[i] = make(map[string]ir.MemberRef)
+	}
+	if opts.Preload {
+		preloadUnpacker(u)
 	}
 	return u
 }

@@ -12,47 +12,34 @@ import (
 )
 
 // Pack encodes a collection of classfiles into a packed archive. With
-// Options.ChunkClasses zero it emits the monolithic version-2 layout;
-// a positive ChunkClasses selects the chunked, random-access version 3.
-// The classfiles must already be canonicalized with strip.Apply
-// (debugging and unrecognized attributes removed); Unpack reproduces
-// them byte-for-byte either way.
+// Options.ChunkClasses zero it emits the monolithic version-2 layout,
+// whose stream container carries per-stream and whole-container CRC32C
+// checksums; a positive ChunkClasses selects the chunked, random-access
+// version 3. The classfiles must already be canonicalized with
+// strip.Apply (debugging and unrecognized attributes removed); decoding
+// reproduces them byte-for-byte either way. Version 1 stays readable but
+// is no longer written.
 func Pack(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
-	if opts.ChunkClasses > 0 {
-		return PackVersion(cfs, opts, Version3)
-	}
-	return PackVersion(cfs, opts, version)
-}
-
-// PackVersion is Pack with an explicit wire-format version: Version2
-// (the default) appends per-stream and whole-container CRC32C checksums,
-// Version1 is the legacy checksum-free layout kept writable for
-// compatibility tests and old consumers, and Version3 is the chunked
-// layout with a trailing seekable class index (Options.ChunkClasses
-// picks the chunk size, DefaultChunkClasses when unset).
-func PackVersion(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, error) {
-	if ver != Version1 && ver != Version2 && ver != Version3 {
-		return nil, fmt.Errorf("core: unknown pack version %d", ver)
-	}
 	if !opts.Scheme.Decodable() {
 		return nil, fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
 	}
-	if ver == Version3 {
+	if opts.ChunkClasses > 0 {
 		return packV3(cfs, opts)
 	}
-	body, err := encodeMonolith(cfs, opts, ver)
+	body, err := encodeMonolith(cfs, opts)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, 0, len(body)+6)
 	out = append(out, Magic[:]...)
-	out = append(out, ver, encodeOptions(opts))
+	out = append(out, version, encodeOptions(opts))
 	return append(out, body...), nil
 }
 
 // encodeMonolith runs the two-pass encoder over the whole collection and
-// serializes the streams as one container body (no archive header).
-func encodeMonolith(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte, error) {
+// serializes the streams as one checked container body (no archive
+// header).
+func encodeMonolith(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	// Pass 1 counts occurrences per pool so transient objects (§5.1.5)
 	// are known in advance; pass 2 emits.
 	counter := newCountingPacker(opts)
@@ -68,9 +55,6 @@ func encodeMonolith(cfs []*classfile.ClassFile, opts Options, ver byte) ([]byte,
 	}
 	if err := emitter.archive(cfs); err != nil {
 		return nil, err
-	}
-	if ver == Version1 {
-		return emitter.w.FinishN(opts.Compress, opts.Concurrency)
 	}
 	return emitter.w.FinishChecked(opts.Compress, opts.Concurrency)
 }

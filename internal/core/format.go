@@ -37,7 +37,7 @@ const (
 
 // DefaultChunkClasses is the classes-per-chunk used by the version-3
 // encoder when Options.ChunkClasses does not choose a positive value
-// (PackVersion with Version3, PackStream).
+// (Pack, PackStream).
 const DefaultChunkClasses = 64
 
 // Options control the encoder. The decoder reads the choices from the

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
+
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
-	"classpack/internal/encoding/varint"
 	"classpack/internal/streams"
 )
 
@@ -79,30 +81,15 @@ type chunkSalvage struct {
 // class that reads damaged or inconsistent data.
 func salvageBody(opts Options, o UnpackOpts, body []byte, checked bool) chunkSalvage {
 	r, quarantined := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
-	cs := chunkSalvage{declared: -1, abortAt: -1, quarantined: quarantined, decoded: r.DecodedBytes()}
-	u := newUnpacker(opts, r)
-	if opts.Preload {
-		preloadUnpacker(u)
-	}
-	count, err := u.meta.Uint()
+	cs := chunkSalvage{quarantined: quarantined, decoded: r.DecodedBytes()}
+	var err error
+	cs.declared, cs.abortAt, err = newUnpacker(opts, r).classes(effectiveMaxClasses(o),
+		func(_ int, cf *classfile.ClassFile) error {
+			cs.classes = append(cs.classes, cf)
+			return nil
+		})
 	if err != nil {
 		cs.abort = asCorrupt(sMeta, err)
-		return cs
-	}
-	maxClasses := effectiveMaxClasses(o)
-	if count > uint64(maxClasses) {
-		cs.abort = corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
-		return cs
-	}
-	cs.declared = int(count)
-	for i := uint64(0); i < count; i++ {
-		cf, err := u.class()
-		if err != nil {
-			cs.abort = asCorrupt(sMeta, err)
-			cs.abortAt = int(i)
-			break
-		}
-		cs.classes = append(cs.classes, cf)
 	}
 	return cs
 }
@@ -142,53 +129,31 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 	return res, nil
 }
 
-// salvageV3 walks the chunk framing sequentially — the framing, not the
-// index, drives recovery, so a destroyed index costs no classes — and
-// salvages each chunk in isolation. The shared decoded-bytes budget is
-// charged per chunk like Unpack does.
+// salvageV3 walks the chunk framing with the chunk walker — the
+// framing, not the index, drives recovery, so a destroyed index costs no
+// classes — and salvages each chunk in isolation. The walker charges the
+// shared decoded-bytes budget and class cap per chunk, as Unpack does.
 func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 	res := &SalvageResult{Version: Version3, AbortClass: -1}
 	ix, ixErr := ReadIndex(data, o)
 	if ixErr != nil {
 		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
 	}
-	budget := effectiveBudget(o)
 	maxClasses := effectiveMaxClasses(o)
-	pos := 6
+	w := newChunkWalker(bufio.NewReader(bytes.NewReader(data[6:])), o)
 	declaredSum := 0
-	for ci := 0; ; ci++ {
-		v, w, err := varint.Uint(data[pos:])
+	for {
+		body, co, err := w.next()
 		if err != nil {
-			res.V3Damage = append(res.V3Damage,
-				V3Damage{Chunk: -1, Err: corrupt.Errorf(sChunks, int64(pos), "chunk %d length: %v", ci, err)})
+			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sChunks, err)})
 			break
 		}
-		pos += w
-		if v == 0 {
+		if body == nil {
 			break
 		}
-		if v > uint64(len(data)-pos) {
-			res.V3Damage = append(res.V3Damage,
-				V3Damage{Chunk: -1, Err: corrupt.Errorf(sChunks, int64(pos), "chunk %d body truncated", ci)})
-			break
-		}
-		body := data[pos : pos+int(v)]
-		pos += int(v)
-		if budget < 1 {
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
-				Err: corrupt.TooLarge(sChunks, int64(pos), "decoded budget exhausted before chunk %d", ci)})
-			break
-		}
-		if len(res.Classes) >= maxClasses {
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
-				Err: corrupt.TooLarge(sChunks, int64(pos), "class cap %d reached before chunk %d", maxClasses, ci)})
-			break
-		}
-		co := o
-		co.MaxDecodedBytes = budget
-		co.MaxClassCount = maxClasses - len(res.Classes)
+		ci := len(w.chunks) - 1
 		cs := salvageBody(opts, co, body, true)
-		budget -= cs.decoded
+		w.charge(cs.decoded, len(cs.classes))
 		for _, q := range cs.quarantined {
 			if q != cs.abort {
 				res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: q})
@@ -232,7 +197,7 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 			// reads as the sentinel) yet the index counts more classes:
 			// report the premature end itself.
 			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
-				Err: corrupt.Errorf(sChunks, int64(pos), "chunk framing ends early: %d classes unaccounted for", un)})
+				Err: corrupt.Errorf(sChunks, w.pos, "chunk framing ends early: %d classes unaccounted for", un)})
 		}
 		res.V3Damage[len(res.V3Damage)-1].ClassesLost += un
 	}

@@ -60,12 +60,6 @@ const (
 	idxStore byte = 1
 )
 
-// chunkBodySlack bounds how much larger than the remaining decode budget
-// a streamed chunk body may claim to be: encoded streams never exceed
-// their raw size (store is the fallback coding), so a valid body is at
-// most the decoded bytes plus directory overhead (names, varints, CRCs).
-const chunkBodySlack = 1 << 16
-
 // v3CRC is the CRC32C (Castagnoli) table for the index checksum, the
 // same polynomial the checked stream containers use.
 var v3CRC = crc32.MakeTable(crc32.Castagnoli)
@@ -180,7 +174,7 @@ func packV3(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	if err := par.Do(opts.Concurrency, numChunks, func(i int) error {
 		copts := opts
 		copts.Concurrency = inner
-		body, err := encodeMonolith(cfs[i*chunkN:min((i+1)*chunkN, len(cfs))], copts, Version2)
+		body, err := encodeMonolith(cfs[i*chunkN:min((i+1)*chunkN, len(cfs))], copts)
 		if err != nil {
 			return err
 		}
@@ -445,117 +439,6 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 	return ix, nil
 }
 
-// DecodeChunk decodes one container body — a version-3 chunk, or the
-// whole body of a version-1/2 archive — invoking visit with each class
-// and its ordinal within the body. checked selects the container layout
-// (true for every version-3 chunk and version-2 body). It returns the
-// decoded wire-stream bytes the body expanded to, which is what
-// MaxDecodedBytes budgets; callers decoding several chunks charge a
-// shared budget by shrinking o.MaxDecodedBytes as they go.
-func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int64, error) {
-	var r *streams.Reader
-	var err error
-	if checked {
-		r, err = streams.NewCheckedReaderLimit(body, o.Concurrency, o.MaxDecodedBytes)
-	} else {
-		r, err = streams.NewReaderLimit(body, o.Concurrency, o.MaxDecodedBytes)
-	}
-	if err != nil {
-		return 0, err
-	}
-	u := newUnpacker(opts, r)
-	if opts.Preload {
-		preloadUnpacker(u)
-	}
-	count, err := u.meta.Uint()
-	if err != nil {
-		return r.DecodedBytes(), fmt.Errorf("core: class count: %w", err)
-	}
-	maxClasses := effectiveMaxClasses(o)
-	if count > uint64(maxClasses) {
-		return r.DecodedBytes(), corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
-	}
-	for i := uint64(0); i < count; i++ {
-		cf, err := u.class()
-		if err != nil {
-			return r.DecodedBytes(), fmt.Errorf("core: unpack class %d: %w", i, err)
-		}
-		if err := visit(int(i), cf); err != nil {
-			return r.DecodedBytes(), err
-		}
-	}
-	return r.DecodedBytes(), nil
-}
-
-// unpackV3 sequentially decodes an in-memory version-3 archive: the
-// index is parsed (and so validated) first, then each chunk is decoded
-// in order and cross-checked against it — framing offsets, class counts
-// and class names must all agree. The decoded-bytes budget is shared
-// across chunks.
-func unpackV3(data []byte, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
-	opts, err := header(data)
-	if err != nil {
-		return err
-	}
-	ix, err := ReadIndex(data, o)
-	if err != nil {
-		return err
-	}
-	budget := effectiveBudget(o)
-	pos := 6
-	g := 0
-	for ci, ch := range ix.Chunks {
-		n, w, err := varint.Uint(data[pos:])
-		if err != nil {
-			return corrupt.Errorf(sChunks, int64(pos), "chunk %d length: %v", ci, err)
-		}
-		pos += w
-		if int64(pos) != ch.Off || int64(n) != ch.Len {
-			return corrupt.Errorf(sIndex, int64(pos),
-				"index places chunk %d at [%d,+%d), framing says [%d,+%d)", ci, ch.Off, ch.Len, pos, n)
-		}
-		if n > uint64(len(data)-pos) {
-			return corrupt.Errorf(sChunks, int64(pos), "chunk %d body truncated", ci)
-		}
-		body := data[pos : pos+int(n)]
-		pos += int(n)
-		if budget < 1 {
-			return corrupt.TooLarge(sChunks, int64(pos), "decoded budget exhausted before chunk %d", ci)
-		}
-		co := o
-		co.MaxDecodedBytes = budget
-		decoded := 0
-		db, err := DecodeChunk(opts, body, true, co, func(ord int, cf *classfile.ClassFile) error {
-			if g+ord >= len(ix.Names) {
-				return corrupt.Errorf(sIndex, -1, "chunk %d decodes more classes than the index lists", ci)
-			}
-			if cf.ThisClassName() != ix.Names[g+ord] {
-				return corrupt.Errorf(sIndex, -1,
-					"chunk %d class %d is %q, index says %q", ci, ord, cf.ThisClassName(), ix.Names[g+ord])
-			}
-			decoded++
-			return visit(cf)
-		})
-		if err != nil {
-			return fmt.Errorf("core: unpack chunk %d: %w", ci, err)
-		}
-		if decoded != ch.Classes {
-			return corrupt.Errorf(sIndex, -1, "chunk %d holds %d classes, index says %d", ci, decoded, ch.Classes)
-		}
-		g += decoded
-		budget -= db
-	}
-	n, w, err := varint.Uint(data[pos:])
-	if err != nil || n != 0 {
-		return corrupt.Errorf(sChunks, int64(pos), "missing end-of-chunks sentinel")
-	}
-	pos += w
-	if int64(pos) != ix.blobOff {
-		return corrupt.Errorf(sChunks, int64(pos), "%d stray bytes between chunks and index", ix.blobOff-int64(pos))
-	}
-	return nil
-}
-
 // PackStream encodes classfiles supplied one at a time by next (which
 // signals the end with io.EOF) into a version-3 archive written to w,
 // holding at most one chunk of classes in memory — the streaming
@@ -579,7 +462,7 @@ func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Opt
 	var scratch []byte
 	buf := make([]*classfile.ClassFile, 0, chunkN)
 	flush := func() error {
-		body, err := encodeMonolith(buf, opts, Version2)
+		body, err := encodeMonolith(buf, opts)
 		if err != nil {
 			return err
 		}
@@ -631,14 +514,14 @@ func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Opt
 }
 
 // UnpackReader decodes an archive from a plain io.Reader, invoking
-// visit as each class completes. For a version-3 archive it works
-// chunk-at-a-time off the length-prefix framing, holding one chunk in
-// memory, and verifies the trailing index (checksum, framing, names)
-// after the last chunk; version-1/2 archives have no internal framing,
-// so they are buffered whole and decoded in place. Failures caused by
-// the archive bytes are *corrupt.Error values; I/O failures of r
-// surface as corruption too, since a short read from an archive source
-// is indistinguishable from truncation.
+// visit as each class completes. A version-3 archive is decoded
+// chunk-at-a-time by the chunk walker, holding one chunk in memory, and
+// its trailing index is verified after the last chunk. Version-1/2
+// archives have no internal framing, so their body is buffered — at most
+// MaxDecodedBytes + BodySlack bytes of it — and decoded in place.
+// Failures caused by the archive bytes are *corrupt.Error values; I/O
+// failures of r surface as corruption too, since a short read from an
+// archive source is indistinguishable from truncation.
 func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
 	br := bufio.NewReader(r)
 	var hdr [6]byte
@@ -650,92 +533,127 @@ func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) er
 		return err
 	}
 	if hdr[4] != Version3 {
-		rest, err := io.ReadAll(br)
+		body, err := readAtMost(br, effectiveBudget(o)+BodySlack, sHeader, 6)
 		if err != nil {
-			return corrupt.Errorf(sHeader, 6, "reading archive: %v", err)
+			return err
 		}
-		return UnpackStreamOpts(append(hdr[:], rest...), o, visit)
+		_, err = DecodeChunk(opts, body, hdr[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
+			return visit(cf)
+		})
+		return err
 	}
-	budget := effectiveBudget(o)
-	maxClasses := effectiveMaxClasses(o)
-	pos := int64(6)
-	classes := 0
+	w := newChunkWalker(br, o)
 	var names []string
-	var observed []ChunkInfo
-	for ci := 0; ; ci++ {
-		n, w, err := readUvarint(br)
+	for {
+		body, co, err := w.next()
 		if err != nil {
-			return corrupt.Errorf(sChunks, pos, "chunk %d length: %v", ci, err)
+			return err
 		}
-		pos += int64(w)
-		if n == 0 {
-			break
+		if body == nil {
+			return w.verifyIndex(names)
 		}
-		if budget < 1 || n > uint64(budget)+chunkBodySlack {
-			return corrupt.TooLarge(sChunks, pos,
-				"chunk %d claims %d bytes against a remaining decode budget of %d", ci, n, budget)
-		}
-		body, err := readBody(br, int64(n))
-		if err != nil {
-			return corrupt.Errorf(sChunks, pos, "chunk %d body: %v", ci, err)
-		}
-		off := pos
-		pos += int64(n)
-		if classes >= maxClasses {
-			return corrupt.TooLarge(sChunks, pos, "class cap %d reached before chunk %d", maxClasses, ci)
-		}
-		co := o
-		co.MaxDecodedBytes = budget
-		co.MaxClassCount = maxClasses - classes
 		count := 0
-		db, err := DecodeChunk(opts, body, true, co, func(ord int, cf *classfile.ClassFile) error {
+		db, err := DecodeChunk(opts, body, true, co, func(_ int, cf *classfile.ClassFile) error {
 			count++
 			names = append(names, cf.ThisClassName())
 			return visit(cf)
 		})
 		if err != nil {
-			return fmt.Errorf("core: unpack chunk %d: %w", ci, err)
+			return fmt.Errorf("core: unpack chunk %d: %w", len(w.chunks)-1, err)
 		}
-		classes += count
-		budget -= db
-		observed = append(observed, ChunkInfo{Off: off, Len: int64(n), Classes: count})
+		w.charge(db, count)
 	}
-	tail, err := io.ReadAll(br)
+}
+
+// chunkWalker is the one reader of the version-3 chunk framing. It reads
+// each length-prefixed chunk body off a byte stream, charging the shared
+// decode budget and class cap as chunks are decoded, and stops at the
+// zero-length sentinel. The trailing index is then read with a bounded
+// read and checked against the chunks the walk observed.
+type chunkWalker struct {
+	br         *bufio.Reader
+	o          UnpackOpts
+	pos        int64 // archive offset of the next unread byte
+	budget     int64 // decoded bytes left for the remaining chunks
+	maxClasses int
+	classes    int         // classes decoded so far
+	chunks     []ChunkInfo // chunks walked, as the framing placed them
+}
+
+// newChunkWalker starts a walk at the first chunk of br, which has
+// already consumed the 6-byte archive header.
+func newChunkWalker(br *bufio.Reader, o UnpackOpts) *chunkWalker {
+	return &chunkWalker{br: br, o: o, pos: 6, budget: effectiveBudget(o), maxClasses: effectiveMaxClasses(o)}
+}
+
+// next reads the next chunk's length prefix and body, and returns the
+// decode options for it: the caller's options with MaxDecodedBytes and
+// MaxClassCount cut to what is left of the shared caps. At the
+// end-of-chunks sentinel the body is nil. A chunk claiming more bytes
+// than the remaining budget can decode to fails before its body is read.
+func (w *chunkWalker) next() ([]byte, UnpackOpts, error) {
+	ci := len(w.chunks)
+	n, size, err := readUvarint(w.br)
 	if err != nil {
-		return corrupt.Errorf(sIndex, pos, "reading index: %v", err)
+		return nil, w.o, corrupt.Errorf(sChunks, w.pos, "chunk %d length: %v", ci, err)
 	}
-	if len(tail) < footerSize+4+2 {
-		return corrupt.Errorf(sFooter, pos, "archive ends without a version-3 footer")
+	w.pos += int64(size)
+	if n == 0 {
+		return nil, w.o, nil
 	}
-	foot := tail[len(tail)-footerSize:]
-	if !bytes.Equal(foot[8:12], indexMagic[:]) {
-		return corrupt.Errorf(sFooter, pos+int64(len(tail))-4, "bad footer magic %q", foot[8:12])
+	if w.budget < 1 || n > uint64(w.budget)+BodySlack {
+		return nil, w.o, corrupt.TooLarge(sChunks, w.pos,
+			"chunk %d claims %d bytes against a remaining decode budget of %d", ci, n, w.budget)
 	}
-	if got := readU64BE(foot[:8]); got != uint64(len(tail)-footerSize-4) {
-		return corrupt.Errorf(sFooter, pos, "footer declares a %d-byte index, %d present", got, len(tail)-footerSize-4)
+	body, err := readBody(w.br, int64(n))
+	if err != nil {
+		return nil, w.o, corrupt.Errorf(sChunks, w.pos, "chunk %d body: %v", ci, err)
 	}
-	blob := tail[:len(tail)-footerSize-4]
-	if got, want := crc32.Checksum(blob, v3CRC), readU32BE(tail[len(blob):]); got != want {
-		return corrupt.Errorf(sIndex, pos, "index checksum %08x, want %08x", got, want)
+	w.chunks = append(w.chunks, ChunkInfo{Off: w.pos, Len: int64(n)})
+	w.pos += int64(n)
+	if w.classes >= w.maxClasses {
+		return nil, w.o, corrupt.TooLarge(sChunks, w.pos, "class cap %d reached before chunk %d", w.maxClasses, ci)
 	}
-	raw, err := decodeIndexBlob(blob, o)
+	co := w.o
+	co.MaxDecodedBytes = w.budget
+	co.MaxClassCount = w.maxClasses - w.classes
+	return body, co, nil
+}
+
+// charge records what the chunk next last returned decoded to — its
+// class count and wire-stream bytes — against the shared caps.
+func (w *chunkWalker) charge(decoded int64, classes int) {
+	w.budget -= decoded
+	w.classes += classes
+	w.chunks[len(w.chunks)-1].Classes = classes
+}
+
+// verifyIndex reads everything after the sentinel — index blob, CRC and
+// footer, at most MaxDecodedBytes + BodySlack + footer bytes of it — and
+// checks it against the walk: the index must list exactly the chunks the
+// framing held, and names, the classes decoded in archive order.
+func (w *chunkWalker) verifyIndex(names []string) error {
+	tail, err := readAtMost(w.br, effectiveBudget(w.o)+BodySlack+footerSize+4, sIndex, w.pos)
 	if err != nil {
 		return err
 	}
-	ix, err := parseIndexRaw(raw, pos-1, o)
+	ix, err := ReadIndexAt(tailAt{tail, w.pos}, w.pos+int64(len(tail)), w.o)
 	if err != nil {
 		return err
 	}
-	if len(ix.Chunks) != len(observed) || len(ix.Names) != len(names) {
+	if ix.blobOff != w.pos {
+		return corrupt.Errorf(sChunks, w.pos, "%d stray bytes between chunks and index", ix.blobOff-w.pos)
+	}
+	if len(ix.Chunks) != len(w.chunks) || len(ix.Names) != len(names) {
 		return corrupt.Errorf(sIndex, -1,
 			"index lists %d chunks / %d classes, archive held %d / %d",
-			len(ix.Chunks), len(ix.Names), len(observed), len(names))
+			len(ix.Chunks), len(ix.Names), len(w.chunks), len(names))
 	}
 	for i, ch := range ix.Chunks {
-		if ch != observed[i] {
+		if ch != w.chunks[i] {
 			return corrupt.Errorf(sIndex, -1,
 				"index places chunk %d at [%d,+%d) with %d classes, archive held [%d,+%d) with %d",
-				i, ch.Off, ch.Len, ch.Classes, observed[i].Off, observed[i].Len, observed[i].Classes)
+				i, ch.Off, ch.Len, ch.Classes, w.chunks[i].Off, w.chunks[i].Len, w.chunks[i].Classes)
 		}
 	}
 	for i, n := range ix.Names {
@@ -744,6 +662,36 @@ func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) er
 		}
 	}
 	return nil
+}
+
+// tailAt serves archive offsets from base on out of the archive's tail,
+// read into memory: ReadIndexAt over it parses an index that was read
+// sequentially.
+type tailAt struct {
+	tail []byte
+	base int64
+}
+
+func (t tailAt) ReadAt(p []byte, off int64) (int, error) {
+	if off < t.base {
+		return 0, corrupt.Errorf(sIndex, off, "index starts before the end-of-chunks sentinel at %d", t.base)
+	}
+	return bytes.NewReader(t.tail).ReadAt(p, off-t.base)
+}
+
+// readAtMost reads r to its end, failing with corrupt.ErrTooLarge as
+// soon as more than limit bytes arrive: a stream cannot make a reader
+// buffer more than the decode budget allows. section and off place the
+// failure in the archive.
+func readAtMost(r io.Reader, limit int64, section string, off int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, corrupt.Errorf(section, off, "reading archive: %v", err)
+	}
+	if int64(len(data)) > limit {
+		return nil, corrupt.TooLarge(section, off, "archive continues past the %d bytes the decode budget allows", limit)
+	}
+	return data, nil
 }
 
 // readUvarint reads an unsigned varint byte-by-byte.

@@ -70,7 +70,7 @@ func TestV3RoundTripChunkSizes(t *testing.T) {
 			if packed[4] != Version3 {
 				t.Fatalf("version byte = %d, want %d", packed[4], Version3)
 			}
-			back, err := Unpack(packed)
+			back, err := unpackAll(packed)
 			if err != nil {
 				t.Fatalf("Unpack: %v", err)
 			}
@@ -169,7 +169,7 @@ func TestV3EmptyArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Unpack(packed)
+	out, err := unpackAll(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestV3CorruptIndex(t *testing.T) {
 			} else if _, ok := corrupt.As(err); !ok {
 				t.Fatalf("ReadIndex error %T is not a corrupt.Error: %v", err, err)
 			}
-			if _, err := Unpack(b); err == nil {
+			if _, err := unpackAll(b); err == nil {
 				t.Fatal("Unpack accepted a corrupt index")
 			}
 		})
@@ -430,7 +430,7 @@ func TestV3LargeCorpusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unpack(packed)
+	back, err := unpackAll(packed)
 	if err != nil {
 		t.Fatal(err)
 	}

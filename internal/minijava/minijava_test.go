@@ -244,7 +244,11 @@ func TestCompiledProgramSurvivesPacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.Unpack(packed)
+	var back []*classfile.ClassFile
+	err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
+		back = append(back, cf)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"expvar"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -114,27 +115,12 @@ func newMetrics() *Metrics {
 	for _, ub := range encodeBucketsMs {
 		v := new(expvar.Int)
 		mt.encodeBuckets = append(mt.encodeBuckets, v)
-		mt.m.Set("encode_ms_le_"+itoa(ub), v)
+		mt.m.Set("encode_ms_le_"+strconv.FormatInt(ub, 10), v)
 	}
 	inf := new(expvar.Int)
 	mt.encodeBuckets = append(mt.encodeBuckets, inf)
 	mt.m.Set("encode_ms_le_inf", inf)
 	return mt
-}
-
-// itoa is strconv.FormatInt without the import noise at call sites.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // observeEncode files one encode duration into its latency bucket.

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -273,7 +274,7 @@ func (s *Server) writeError(w http.ResponseWriter, err *apiError) {
 	if err.retryAfter > 0 {
 		// Whole seconds, rounded up: Retry-After has no finer grain.
 		secs := (err.retryAfter + time.Second - 1) / time.Second
-		w.Header().Set("Retry-After", itoa(int64(secs)))
+		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
 	}
 	w.WriteHeader(err.status)
 	json.NewEncoder(w).Encode(map[string]any{
@@ -319,7 +320,7 @@ func (s *Server) acquireJob(ctx context.Context) (release func(), apiErr *apiErr
 // writePayload sends a binary response body and counts it.
 func (s *Server) writePayload(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", itoa(int64(len(data))))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	if _, err := w.Write(data); err == nil {
 		s.metrics.BytesOut.Add(int64(len(data)))
 	}
@@ -481,7 +482,11 @@ func (s *Server) handleUnpack(w http.ResponseWriter, r *http.Request) {
 		s.salvageUnpack(w, input, &opts)
 		return
 	}
-	jar, err := classpack.UnpackToJarOpts(input, &opts)
+	files, err := classpack.UnpackOpts(input, &opts)
+	var jar []byte
+	if err == nil {
+		jar, err = classpack.JarFromFiles(files)
+	}
 	if err != nil {
 		// A failed decode means the client sent a bad archive — that is a
 		// 400, not a server fault. Cap violations and malformed bytes get

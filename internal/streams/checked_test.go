@@ -3,6 +3,7 @@ package streams
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"classpack/internal/corrupt"
@@ -17,15 +18,45 @@ func checkedWriter() *Writer {
 	return w
 }
 
-func TestCheckedRoundTrip(t *testing.T) {
-	w := checkedWriter()
-	plain, err := w.FinishN(true, 1)
+// goldenBody returns the container body of a committed version-1
+// archive (testdata/golden at the repository root): the plain layout,
+// which the reader still accepts but the writer no longer produces.
+func goldenBody(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/golden/hanoi.v1.cjp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := w.FinishChecked(true, 1)
+	return data[6:]
+}
+
+// withoutChecksums removes the per-stream and trailer CRC32Cs from a
+// checked container. What remains is the plain layout of the same
+// streams: both layouts share every directory entry and payload byte.
+func withoutChecksums(t testing.TB, checked []byte) []byte {
+	t.Helper()
+	secs, err := Sections(checked, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var out []byte
+	prev := int64(0)
+	for _, s := range secs {
+		end := s.Off + s.Len
+		out = append(out, checked[prev:end]...)
+		prev = end + crcSize
+	}
+	return append(out, checked[prev:len(checked)-crcSize]...)
+}
+
+func TestCheckedRoundTrip(t *testing.T) {
+	checked, err := checkedWriter().FinishChecked(true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := withoutChecksums(t, checked)
+	if _, err := NewReaderLimit(plain, 1, 0); err != nil {
+		t.Fatalf("checked container without its checksums is not a plain container: %v", err)
 	}
 	// Overhead is exactly one CRC per stream plus the trailer.
 	if want := len(plain) + crcSize*(3+1); len(checked) != want {
@@ -162,11 +193,14 @@ func TestSalvageReaderTrailerOnlyDamage(t *testing.T) {
 }
 
 func TestSectionsLayouts(t *testing.T) {
-	w := checkedWriter()
+	full, err := checkedWriter().FinishChecked(true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, checked := range []bool{true, false} {
-		data, err := w.finish(true, 1, checked)
-		if err != nil {
-			t.Fatal(err)
+		data := full
+		if !checked {
+			data = withoutChecksums(t, full)
 		}
 		sections, err := Sections(data, checked)
 		if err != nil {

@@ -17,21 +17,13 @@ func FuzzStreamsReader(f *testing.F) {
 	for i := 0; i < 512; i++ {
 		w.Stream("c.zeros").WriteByte(0) // compresses, exercising flate decode
 	}
-	seed, err := w.Finish(true)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
+	f.Add(goldenBody(f)) // the plain layout of a real archive
 	checked, err := w.FinishChecked(true, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(checked)
-	empty, err := NewWriter().Finish(false)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty)
+	f.Add([]byte{0}) // the empty plain container: a zero stream count
 	f.Add([]byte{0})
 	f.Add([]byte{})
 

@@ -19,9 +19,10 @@
 // memory. Failures are reported as *corrupt.Error values naming the
 // stream and offset.
 //
-// Two container layouts exist. The original ("plain") layout carries no
-// integrity data. The checked layout — produced by FinishChecked and read
-// by NewCheckedReaderLimit — follows every stream's encoded payload with
+// Two container layouts exist. The original ("plain") layout of
+// version-1 archives carries no integrity data; it is still read
+// (NewReaderLimit) but no longer written. The checked layout — produced
+// by FinishChecked and read by NewCheckedReaderLimit — follows every stream's encoded payload with
 // a CRC32C (Castagnoli) of those payload bytes and ends the container
 // with a trailer CRC32C over everything that precedes it, so corruption
 // is detected before decoding and localized to one stream. The salvage
@@ -64,9 +65,9 @@ const (
 	codingArith byte = 2
 )
 
-// DefaultMaxDecodedBytes is the decoded-size budget NewReader and
-// NewReaderN enforce when the caller does not choose one: the sum of all
-// streams' decoded bytes may not exceed it.
+// DefaultMaxDecodedBytes is the decoded-size budget the readers enforce
+// when the caller passes maxDecoded <= 0: the sum of all streams'
+// decoded bytes may not exceed it.
 const DefaultMaxDecodedBytes = int64(1) << 30
 
 // Writer accumulates named streams and serializes them into a container.
@@ -119,31 +120,16 @@ func encodeStream(raw []byte, compress bool) (byte, []byte) {
 	return coding, payload
 }
 
-// Finish serializes all streams serially, choosing each stream's coding
-// per §14. It is FinishN with one worker.
-func (w *Writer) Finish(compress bool) ([]byte, error) {
-	return w.FinishN(compress, 1)
-}
-
-// FinishN serializes all streams in the plain (unchecked) layout,
-// trial-coding the mutually independent streams on up to concurrency
-// workers (<= 0 meaning all cores). The container is assembled in sorted
-// name order after all codings are chosen, so the output is
-// byte-identical for every concurrency value.
-func (w *Writer) FinishN(compress bool, concurrency int) ([]byte, error) {
-	return w.finish(compress, concurrency, false)
-}
-
-// FinishChecked serializes all streams in the checked layout: each
-// stream's directory entry is followed by a CRC32C of its encoded
-// payload, and the container ends with a trailer CRC32C over every byte
-// that precedes it. Like FinishN, the output is byte-identical for every
-// concurrency value.
+// FinishChecked serializes all streams in the checked layout, choosing
+// each stream's coding per §14: each stream's directory entry is
+// followed by a CRC32C of its encoded payload, and the container ends
+// with a trailer CRC32C over every byte that precedes it. The mutually
+// independent streams are trial-coded on up to concurrency workers
+// (<= 0 meaning all cores); the container is assembled in sorted name
+// order after all codings are chosen, so the output is byte-identical
+// for every concurrency value. The writer emits only this layout; the
+// plain layout of version-1 archives is read-only (NewReaderLimit).
 func (w *Writer) FinishChecked(compress bool, concurrency int) ([]byte, error) {
-	return w.finish(compress, concurrency, true)
-}
-
-func (w *Writer) finish(compress bool, concurrency int, checked bool) ([]byte, error) {
 	names := append([]string(nil), w.order...)
 	sort.Strings(names)
 	type coded struct {
@@ -168,14 +154,9 @@ func (w *Writer) finish(compress bool, concurrency int, checked bool) ([]byte, e
 		out = append(out, encs[i].coding)
 		out = varint.AppendUint(out, uint64(len(encs[i].payload)))
 		out = append(out, encs[i].payload...)
-		if checked {
-			out = appendCRC(out, crc32.Checksum(encs[i].payload, castagnoli))
-		}
+		out = appendCRC(out, crc32.Checksum(encs[i].payload, castagnoli))
 	}
-	if checked {
-		out = appendCRC(out, crc32.Checksum(out, castagnoli))
-	}
-	return out, nil
+	return appendCRC(out, crc32.Checksum(out, castagnoli)), nil
 }
 
 // Sizes reports per-stream raw and encoded sizes as they would serialize
@@ -235,17 +216,6 @@ type Reader struct {
 // containers against one shared budget (the version-3 chunk layout)
 // subtract it after each container.
 func (r *Reader) DecodedBytes() int64 { return r.decoded }
-
-// NewReader parses the container, decoding stream payloads serially with
-// the default decoded-size budget. It is NewReaderN with one worker.
-func NewReader(data []byte) (*Reader, error) {
-	return NewReaderN(data, 1)
-}
-
-// NewReaderN is NewReaderLimit with the default decoded-size budget.
-func NewReaderN(data []byte, concurrency int) (*Reader, error) {
-	return NewReaderLimit(data, concurrency, DefaultMaxDecodedBytes)
-}
 
 // entry is one stream's header fields and undecoded payload. payloadOff
 // is the payload's byte offset within the container; quarantine is the

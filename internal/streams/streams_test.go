@@ -17,11 +17,11 @@ func TestRoundTrip(t *testing.T) {
 	w.Stream("empty") // created but never written
 
 	for _, compress := range []bool{true, false} {
-		data, err := w.Finish(compress)
+		data, err := w.FinishChecked(compress, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReader(data)
+		r, err := NewCheckedReaderLimit(data, 1, 0)
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
@@ -54,11 +54,11 @@ func TestRoundTrip(t *testing.T) {
 
 func TestAbsentStreamIsEmpty(t *testing.T) {
 	w := NewWriter()
-	data, err := w.Finish(true)
+	data, err := w.FinishChecked(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(data)
+	r, err := NewCheckedReaderLimit(data, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 	noise := make([]byte, 4096)
 	rng.Read(noise)
 	w.Stream("msc.noise").Write(noise)
-	data, err := w.Finish(true)
+	data, err := w.FinishChecked(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 	if overhead > 64 {
 		t.Fatalf("container overhead %d bytes on incompressible data", overhead)
 	}
-	r, err := NewReader(data)
+	r, err := NewCheckedReaderLimit(data, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCompressionFallsBackToStore(t *testing.T) {
 func TestCompressibleStreamShrinks(t *testing.T) {
 	w := NewWriter()
 	w.Stream("str.x.chr").Write([]byte(strings.Repeat("the same words again ", 400)))
-	data, err := w.Finish(true)
+	data, err := w.FinishChecked(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSizes(t *testing.T) {
 func TestReaderErrors(t *testing.T) {
 	w := NewWriter()
 	w.Stream("s").Write([]byte("hello world, a stream"))
-	data, err := w.Finish(true)
+	data, err := w.FinishChecked(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,19 @@ func TestReaderErrors(t *testing.T) {
 		"trailing":  append(append([]byte{}, data...), 0xff),
 	}
 	for name, d := range cases {
-		if _, err := NewReader(d); err == nil {
-			t.Errorf("%s: NewReader succeeded", name)
+		if _, err := NewCheckedReaderLimit(d, 1, 0); err == nil {
+			t.Errorf("%s: NewCheckedReaderLimit succeeded", name)
+		}
+	}
+	plain := goldenBody(t)
+	cases = map[string][]byte{
+		"empty":     {},
+		"truncated": plain[:len(plain)/2],
+		"trailing":  append(append([]byte{}, plain...), 0xff),
+	}
+	for name, d := range cases {
+		if _, err := NewReaderLimit(d, 1, 0); err == nil {
+			t.Errorf("plain %s: NewReaderLimit succeeded", name)
 		}
 	}
 }
@@ -153,7 +164,7 @@ func TestDeterministicOrder(t *testing.T) {
 		for _, n := range order {
 			w.Stream(n).Write([]byte(n))
 		}
-		data, err := w.Finish(true)
+		data, err := w.FinishChecked(true, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +179,8 @@ func TestDeterministicOrder(t *testing.T) {
 
 func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 	// A container with many streams of different codings must serialize
-	// byte-identically at every worker count, and NewReaderN must decode
-	// it identically too.
+	// byte-identically at every worker count N, and the reader must decode
+	// it at every worker count too.
 	build := func() *Writer {
 		w := NewWriter()
 		rng := rand.New(rand.NewSource(9))
@@ -192,23 +203,23 @@ func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 	}
 	var want []byte
 	for _, j := range []int{1, 2, 7, 0} {
-		data, err := build().FinishN(true, j)
+		data, err := build().FinishChecked(true, j)
 		if err != nil {
-			t.Fatalf("FinishN(j=%d): %v", j, err)
+			t.Fatalf("FinishChecked(j=%d): %v", j, err)
 		}
 		if want == nil {
 			want = data
 		} else if !bytes.Equal(data, want) {
-			t.Fatalf("FinishN(j=%d) differs from serial container", j)
+			t.Fatalf("FinishChecked(j=%d) differs from serial container", j)
 		}
-		r, err := NewReaderN(data, j)
+		r, err := NewCheckedReaderLimit(data, j, 0)
 		if err != nil {
-			t.Fatalf("NewReaderN(j=%d): %v", j, err)
+			t.Fatalf("NewCheckedReaderLimit(j=%d): %v", j, err)
 		}
 		for i := 0; i < 40; i++ {
 			name := fmt.Sprintf("s.%02d", i)
 			if r.Stream(name).Remaining() == 0 {
-				t.Fatalf("NewReaderN(j=%d): stream %s empty", j, name)
+				t.Fatalf("NewCheckedReaderLimit(j=%d): stream %s empty", j, name)
 			}
 		}
 	}
@@ -248,11 +259,11 @@ func TestArithCodingSelected(t *testing.T) {
 	}
 	w := NewWriter()
 	w.Stream("msc.skewed").Write(raw)
-	data, err := w.Finish(true)
+	data, err := w.FinishChecked(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(data)
+	r, err := NewCheckedReaderLimit(data, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,5 +279,40 @@ func TestArithCodingSelected(t *testing.T) {
 	coding, payload := encodeStream(raw, true)
 	if coding != codingArith {
 		t.Logf("coding = %d (flate won on this stream); payload %d", coding, len(payload))
+	}
+}
+
+// TestPlainReaderGolden reads the plain (version-1) container of a
+// committed golden archive at several worker counts. The streams it
+// decodes, coded again by FinishChecked, must give back the golden body
+// byte for byte once the checksums are removed: both layouts share the
+// directory and payload bytes, so writer and plain reader cannot drift.
+func TestPlainReaderGolden(t *testing.T) {
+	plain := goldenBody(t)
+	secs, err := Sections(plain, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{1, 2, 0} {
+		r, err := NewReaderLimit(plain, j, 0)
+		if err != nil {
+			t.Fatalf("NewReaderLimit(j=%d): %v", j, err)
+		}
+		w := NewWriter()
+		for _, s := range secs {
+			rs := r.Stream(s.Name)
+			raw, err := rs.Raw(rs.Remaining())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Stream(s.Name).Write(raw)
+		}
+		checked, err := w.FinishChecked(true, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(withoutChecksums(t, checked), plain) {
+			t.Fatalf("j=%d: re-coded golden streams differ from the golden body", j)
+		}
 	}
 }

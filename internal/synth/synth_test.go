@@ -83,7 +83,11 @@ func TestGeneratedCorpusPacksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Pack: %v", err)
 	}
-	back, err := core.Unpack(packed)
+	var back []*classfile.ClassFile
+	err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
+		back = append(back, cf)
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("Unpack: %v", err)
 	}

@@ -26,13 +26,6 @@ var ErrClassNotFound = errors.New("classpack: class not found in archive")
 // ExtractOrdinals extracts them, exactly as a full Unpack would.
 var ErrAmbiguousClass = errors.New("classpack: class name occurs more than once in archive")
 
-// eagerBodySlack bounds how much larger than the decode budget an
-// archive opened through the version-1/2 eager fallback may claim to
-// be: encoded streams never exceed their raw size (store is the
-// fallback coding), so a valid archive is at most the decoded bytes
-// plus directory overhead. The same reasoning as core's chunk framing.
-const eagerBodySlack = 1 << 16
-
 // Archive is a random-access view of a packed archive. For a version-3
 // archive it reads only the 6-byte header and the trailing class index
 // at open; class bodies decode lazily, one chunk at a time, when
@@ -110,7 +103,7 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 		if size < 6 {
 			return nil, corrupt.Errorf("container", size, "declared size %d is smaller than the header", size)
 		}
-		if budget := core.EffectiveBudget(uo); size-6 > budget+eagerBodySlack {
+		if budget := core.EffectiveBudget(uo); size-6 > budget+core.BodySlack {
 			return nil, corrupt.TooLarge("container", 0,
 				"%d-byte archive exceeds the %d-byte decode budget", size, budget)
 		}
@@ -123,7 +116,7 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 			return nil, corrupt.Errorf("container", int64(len(data)),
 				"archive is %d bytes, caller declared %d", len(data), size)
 		}
-		files, decoded, err := decodeBody(copts, data[6:], ver != core.Version1, uo)
+		files, decoded, err := decodeFiles(copts, data[6:], ver != core.Version1, uo)
 		if err != nil {
 			return nil, err
 		}
@@ -179,16 +172,16 @@ func OpenArchiveBytes(data []byte, opts *Options) (*Archive, error) {
 	return OpenArchive(bytes.NewReader(data), int64(len(data)), opts)
 }
 
-// decodeBody decodes one container body into serialized class files and
-// reports the decoded wire-stream bytes.
-func decodeBody(copts core.Options, body []byte, checked bool, uo core.UnpackOpts) ([]File, int64, error) {
+// decodeFiles decodes one container body into serialized class files
+// and reports the decoded wire-stream bytes.
+func decodeFiles(copts core.Options, body []byte, checked bool, uo core.UnpackOpts) ([]File, int64, error) {
 	var files []File
-	decoded, err := core.DecodeChunk(copts, body, checked, uo, func(ord int, cf *classfile.ClassFile) error {
-		raw, err := classfile.Write(cf)
+	decoded, err := core.DecodeChunk(copts, body, checked, uo, func(_ int, cf *classfile.ClassFile) error {
+		f, err := fileOf(cf)
 		if err != nil {
 			return err
 		}
-		files = append(files, File{Name: cf.ThisClassName() + ".class", Data: raw})
+		files = append(files, f)
 		return nil
 	})
 	if err != nil {
@@ -305,24 +298,18 @@ func (a *Archive) chunkFiles(ci int) ([]File, error) {
 		return nil, corrupt.Errorf("chunks", ch.Off, "reading chunk %d: %v", ci, err)
 	}
 	start := a.ix.Start(ci)
-	var files []File
-	decoded, err := core.DecodeChunk(a.copts, body, true, a.uo, func(ord int, cf *classfile.ClassFile) error {
-		if start+ord >= len(a.names) || cf.ThisClassName() != a.names[start+ord] {
-			return corrupt.Errorf("index", -1, "chunk %d class %d is %q, index disagrees", ci, ord, cf.ThisClassName())
-		}
-		raw, err := classfile.Write(cf)
-		if err != nil {
-			return err
-		}
-		files = append(files, File{Name: cf.ThisClassName() + ".class", Data: raw})
-		return nil
-	})
+	files, decoded, err := decodeFiles(a.copts, body, true, a.uo)
 	a.decoded += decoded
 	if err != nil {
 		return nil, fmt.Errorf("classpack: chunk %d: %w", ci, err)
 	}
 	if len(files) != ch.Classes {
 		return nil, corrupt.Errorf("index", -1, "chunk %d holds %d classes, index says %d", ci, len(files), ch.Classes)
+	}
+	for i, f := range files {
+		if trimClass(f.Name) != a.names[start+i] {
+			return nil, corrupt.Errorf("index", -1, "chunk %d class %d is %q, index disagrees", ci, i, trimClass(f.Name))
+		}
 	}
 	a.cachedChunk, a.cachedFiles = ci, files
 	return files, nil
@@ -485,22 +472,28 @@ func PackStream(w io.Writer, next func() ([]byte, error), opts *Options) error {
 }
 
 // UnpackStream decodes an archive from an io.Reader, invoking visit
-// with each class file as it completes. A version-3 archive is decoded
-// one chunk at a time off its length-prefix framing — the whole archive
-// is never materialized — with the trailing index verified after the
-// last chunk; version-1/2 archives are buffered and decoded in place.
+// with each class file as it completes. The archive format is
+// sequential, so an eager class loader (§11 of the paper) can define
+// each class the moment it arrives; order the input superclass-first
+// (see OrderForEagerLoading) so no definition blocks. A version-3
+// archive is decoded one chunk at a time off its length-prefix framing
+// — the whole archive is never materialized — with the trailing index
+// verified after the last chunk, so a damaged index is reported after
+// every class has been visited. Version-1/2 archives are buffered and
+// decoded in place. Either way at most MaxDecodedBytes plus a small
+// slack is read into one buffer; longer input fails with ErrTooLarge.
 // A nil opts uses defaults. A visit error aborts and is returned
-// verbatim.
+// verbatim. For an in-memory archive pass bytes.NewReader(data).
 func UnpackStream(r io.Reader, visit func(File) error, opts *Options) error {
 	uo := opts.unpackOpts()
 	if err := checkConcurrency(uo.Concurrency); err != nil {
 		return err
 	}
 	return core.UnpackReader(r, uo, func(cf *classfile.ClassFile) error {
-		raw, err := classfile.Write(cf)
+		f, err := fileOf(cf)
 		if err != nil {
 			return err
 		}
-		return visit(File{Name: cf.ThisClassName() + ".class", Data: raw})
+		return visit(f)
 	})
 }

@@ -140,12 +140,7 @@ func reserializeInto(res *SalvageResult, classes []*classfile.ClassFile, concurr
 	}
 	outs := make([]written, len(classes))
 	_ = par.Do(concurrency, len(classes), func(i int) error {
-		raw, err := classfile.Write(classes[i])
-		if err != nil {
-			outs[i].err = err
-			return nil
-		}
-		outs[i].file = File{Name: classes[i].ThisClassName() + ".class", Data: raw}
+		outs[i].file, outs[i].err = fileOf(classes[i])
 		return nil
 	})
 	for i := range outs {
@@ -165,9 +160,9 @@ func reserializeInto(res *SalvageResult, classes []*classfile.ClassFile, concurr
 }
 
 // Jar rebuilds a conventional jar from the recovered classes, the same
-// layout UnpackToJar produces for a clean archive.
+// layout JarFromFiles produces for a clean archive.
 func (r *SalvageResult) Jar() ([]byte, error) {
-	return jarFromFiles(r.Files)
+	return JarFromFiles(r.Files)
 }
 
 // region maps a corrupt.Error to the public damage shape.

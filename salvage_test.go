@@ -128,11 +128,11 @@ func TestSalvageResultJar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := UnpackToJar(packed)
+	want, err := JarFromFiles(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(jar) != string(want) {
-		t.Fatal("salvage jar differs from UnpackToJar on a pristine archive")
+		t.Fatal("salvage jar differs from the jar of a clean unpack")
 	}
 }
