@@ -1,6 +1,7 @@
 package classpack
 
 import (
+	"runtime"
 	"testing"
 
 	"classpack/internal/bench"
@@ -13,13 +14,19 @@ import (
 // allocation in a per-file or per-instruction loop trips the test, while
 // ordinary drift (map growth heuristics, runtime changes) does not.
 //
-// Measured at the time of writing (213_javac corpus at benchScale):
-// pack ≈ 4.0k allocs, unpack ≈ 5.4k allocs; before the campaign the same
-// corpus cost ≈ 28k and ≈ 16k respectively.
+// Measured at the time of writing (213_javac corpus at benchScale, six
+// files, Concurrency 1): pack ≈ 2.5k allocs; unpack ≈ 3.6k allocs and
+// ≈ 1.6 MB. Before the campaign the same corpus cost ≈ 28k and ≈ 16k
+// allocs. Before the unpacker decoded each class into a reused
+// instruction arena, unpack allocated ≈ 4.7 MB, mostly per-instruction
+// records in per-method slices grown by doubling; the byte ceiling
+// keeps such a fat per-instruction append from coming back unnoticed,
+// since it adds bytes rather than allocations.
 
 const (
-	packAllocCeiling   = 8000  // measured ~4.0k; ceiling ≈ 2x
-	unpackAllocCeiling = 11000 // measured ~5.4k; ceiling ≈ 2x
+	packAllocCeiling   = 5000      // measured ~2.5k; ceiling ≈ 2x
+	unpackAllocCeiling = 7500      // measured ~3.6k; ceiling ≈ 2x
+	unpackBytesCeiling = 3_300_000 // measured ~1.6 MB; ceiling ≈ 2x
 )
 
 func allocCorpus(t *testing.T) ([][]byte, []byte) {
@@ -62,13 +69,26 @@ func TestUnpackAllocs(t *testing.T) {
 		t.Skip("allocation measurement on full corpus")
 	}
 	_, packed := allocCorpus(t)
-	allocs := testing.AllocsPerRun(5, func() {
+	unpack := func() {
 		if _, err := UnpackOpts(packed, &Options{Concurrency: 1}); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(5, unpack)
 	t.Logf("unpack: %.0f allocs per run (%d packed bytes)", allocs, len(packed))
 	if allocs > unpackAllocCeiling {
 		t.Errorf("Unpack allocated %.0f times per run, ceiling %d", allocs, unpackAllocCeiling)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		unpack()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("unpack: %d bytes allocated per run", perRun)
+	if perRun > unpackBytesCeiling {
+		t.Errorf("Unpack allocated %d bytes per run, ceiling %d", perRun, unpackBytesCeiling)
 	}
 }

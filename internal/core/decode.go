@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"math"
 
-	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
 	"classpack/internal/corrupt"
 	"classpack/internal/ir"
+	"classpack/internal/par"
 	"classpack/internal/refs"
 	"classpack/internal/stackstate"
 	"classpack/internal/streams"
-	"classpack/internal/strip"
 )
 
 // sHeader names the fixed archive header in corrupt errors.
@@ -27,7 +26,9 @@ const DefaultMaxClassCount = 1 << 20
 // resource bounds for untrusted input and a worker count.
 type UnpackOpts struct {
 	// Concurrency bounds the workers for the up-front stream
-	// decompression (0 = all cores, 1 = serial).
+	// decompression and, while the classes are decoded off the wire in
+	// order, for building and renumbering them (0 = all cores, 1 =
+	// serial). Output and errors are the same for every value.
 	Concurrency int
 	// MaxDecodedBytes caps the total decoded size of all wire streams
 	// (0 = streams.DefaultMaxDecodedBytes). The cap is enforced before
@@ -90,34 +91,55 @@ func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit fu
 	if err != nil {
 		return 0, err
 	}
-	_, _, err = newUnpacker(opts, r).classes(effectiveMaxClasses(o), visit)
+	_, _, err = newUnpacker(opts, r).classes(o, visit)
 	return r.DecodedBytes(), err
 }
 
 // classes is the per-class decode loop of every body decoder: it reads
-// the body's class count, checks it against maxClasses, then decodes the
-// classes in order and hands each to visit. It returns the declared
-// count (-1 when unreadable or over the cap) and, on failure, the index
-// of the class where decoding stopped (-1 when it stopped before the
-// first class). A visit error is returned verbatim.
-func (u *unpacker) classes(maxClasses int, visit func(ord int, cf *classfile.ClassFile) error) (declared, stopped int, err error) {
+// the body's class count, checks it against o's class cap, then decodes
+// the classes and hands each to visit in order. Decoding is a pipeline
+// (par.Pipeline): decodeClass reads each class off the wire serially,
+// since it advances the reference pools; up to o.Concurrency workers
+// build and renumber the decoded classes; visit runs on the calling
+// goroutine, in archive order. At most workers + 1 classes are in
+// flight, each in its own recycled decodedClass. What visit sees and
+// the error returned are the same for every worker count. classes
+// returns the declared count (-1 when unreadable or over the cap) and,
+// on failure, the index of the class where decoding stopped (-1 when it
+// stopped before the first class). A visit error is returned verbatim.
+func (u *unpacker) classes(o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (declared, stopped int, err error) {
 	count, err := u.meta.Uint()
 	if err != nil {
 		return -1, -1, fmt.Errorf("core: class count: %w", err)
 	}
-	if count > uint64(maxClasses) {
+	if maxClasses := effectiveMaxClasses(o); count > uint64(maxClasses) {
 		return -1, -1, corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
 	}
-	for i := 0; i < int(count); i++ {
-		cf, err := u.class()
-		if err != nil {
-			return int(count), i, fmt.Errorf("core: unpack class %d: %w", i, err)
-		}
-		if err := visit(i, cf); err != nil {
-			return int(count), i, err
-		}
-	}
-	return int(count), -1, nil
+	n := int(count)
+	builders := make([]*classBuilder, par.Workers(o.Concurrency, n))
+	stopped, err = par.Pipeline(o.Concurrency, n,
+		func() *decodedClass { return new(decodedClass) },
+		func(i int, c *decodedClass) error {
+			if err := u.decodeClass(c); err != nil {
+				return fmt.Errorf("core: unpack class %d: %w", i, err)
+			}
+			return nil
+		},
+		func(w, i int, c *decodedClass) (err error) {
+			if builders[w] == nil {
+				builders[w] = newClassBuilder()
+			}
+			if c.cf, err = builders[w].build(c); err != nil {
+				return fmt.Errorf("core: unpack class %d: %w", i, err)
+			}
+			return nil
+		},
+		func(i int, c *decodedClass) error {
+			cf := c.cf
+			c.cf = nil
+			return visit(i, cf)
+		})
+	return n, stopped, err
 }
 
 // header validates the 6-byte archive header and returns the coding
@@ -163,13 +185,10 @@ type unpacker struct {
 	// archive. References repeat heavily (that is the whole premise of
 	// the format), so each derived form is computed once per distinct
 	// input rather than once per use site.
-	classNames map[ir.ClassKey]string
-	msigs      map[string]*msigEntry
-	ftypes     map[string]classfile.Type
-	sim        *stackstate.Sim
-	hoffs      []int
-	scratch    strip.Scratch
-	decoded    map[*classfile.CodeAttr][]bytecode.Instruction
+	msigs  map[string]*msigEntry
+	ftypes map[string]classfile.Type
+	sim    *stackstate.Sim
+	hoffs  []int
 }
 
 // msigEntry caches everything derived from one method descriptor: the
@@ -188,14 +207,13 @@ type msigEntry struct {
 // header asks for preloading.
 func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 	u := &unpacker{
-		opts:       opts,
-		r:          r,
-		meta:       r.Stream(sMeta),
-		classKeys:  make(map[string]ir.ClassKey),
-		sigs:       make(map[string]ir.Signature),
-		classNames: make(map[ir.ClassKey]string),
-		msigs:      make(map[string]*msigEntry),
-		ftypes:     make(map[string]classfile.Type),
+		opts:      opts,
+		r:         r,
+		meta:      r.Stream(sMeta),
+		classKeys: make(map[string]ir.ClassKey),
+		sigs:      make(map[string]ir.Signature),
+		msigs:     make(map[string]*msigEntry),
+		ftypes:    make(map[string]classfile.Type),
 	}
 	for i := range u.decs {
 		u.decs[i], _ = refs.NewDecoder(opts.Scheme)
@@ -205,17 +223,6 @@ func newUnpacker(opts Options, r *streams.Reader) *unpacker {
 		preloadUnpacker(u)
 	}
 	return u
-}
-
-// className memoizes ir.KeyToClassName, which joins package and simple
-// name into a fresh string on every call.
-func (u *unpacker) className(k ir.ClassKey) string {
-	if s, ok := u.classNames[k]; ok {
-		return s
-	}
-	s := ir.KeyToClassName(k)
-	u.classNames[k] = s
-	return s
 }
 
 // methodSig memoizes descriptor parsing for method references. Only

@@ -47,125 +47,150 @@ type dHandler struct {
 	catch               ir.ClassKey
 }
 
-type dInsn struct {
-	in     bytecode.Instruction
-	hasUse bool
-	use    opUse
-	member ir.MemberRef
-	class  ir.ClassKey // for new/anewarray/checkcast/instanceof/multianewarray
-	isLdc  bool
-	cv     dConst
-}
-
-type dCode struct {
-	maxStack, maxLocals int
-	handlers            []dHandler
-	codeLen             int
-	insns               []dInsn
-}
+// span is the half-open range [lo, hi) of one method's entries in an
+// arena of its decodedClass.
+type span struct{ lo, hi int }
 
 type dMethod struct {
-	flags      uint64
-	name       string
-	sig        ir.Signature
-	exceptions []ir.ClassKey
-	code       *dCode
+	flags               uint64
+	name                string
+	sig                 ir.Signature
+	exceptions          span // into decodedClass.exceptions
+	hasCode             bool
+	maxStack, maxLocals int
+	handlers            span // into decodedClass.handlers
+	insns               span // into decodedClass.insns
+}
+
+// decodedClass is one class as the serial decode stage leaves it: every
+// wire-dependent value read and resolved to symbolic form, nothing yet
+// interned into a constant pool. Its slices are arenas: a class's
+// methods hold ranges into them, and the unpacker reuses one
+// decodedClass for many classes, so once the arenas have grown decoding
+// allocates only what the built class keeps (strings, switch tables).
+type decodedClass struct {
+	minor, major uint16
+	flags        uint64
+	this, super  ir.ClassKey
+	ifaces       []ir.ClassKey
+	inner        []dInner
+	fields       []dField
+	methods      []dMethod
+	exceptions   []ir.ClassKey
+	handlers     []dHandler
+	insns        []bytecode.Instruction
+	// The symbolic constant-pool operands of insns, which index them
+	// through Instruction.A until the build stage interns them.
+	consts    []dConst
+	members   []ir.MemberRef
+	classKeys []ir.ClassKey
+
+	// cf is the build stage's result, handed on to visit.
+	cf *classfile.ClassFile
+}
+
+// reset empties the class, keeping its arenas' capacity.
+func (c *decodedClass) reset() {
+	*c = decodedClass{
+		ifaces:     c.ifaces[:0],
+		inner:      c.inner[:0],
+		fields:     c.fields[:0],
+		methods:    c.methods[:0],
+		exceptions: c.exceptions[:0],
+		handlers:   c.handlers[:0],
+		insns:      c.insns[:0],
+		consts:     c.consts[:0],
+		members:    c.members[:0],
+		classKeys:  c.classKeys[:0],
+	}
 }
 
 // maxCount bounds decoded element counts; anything larger is a corrupt
 // archive, caught before allocation.
 const maxCount = 1 << 20
 
-func checkCount(n uint64, what string) (int, error) {
+// count reads an element count from the meta stream and bounds it.
+func (u *unpacker) count(what string) (int, error) {
+	n, err := u.meta.Uint()
+	if err != nil {
+		return 0, err
+	}
 	if n > maxCount {
 		return 0, corrupt.TooLarge(sMeta, -1, "implausible %s count %d", what, n)
 	}
 	return int(n), nil
 }
 
-func (u *unpacker) class() (*classfile.ClassFile, error) {
+// decodeClass is the serial stage of class decoding: it reads one class
+// off the wire streams into c, advancing the reference pools and MTF
+// state, which is why classes must pass through it in archive order.
+func (u *unpacker) decodeClass(c *decodedClass) error {
+	c.reset()
 	minor, err := u.meta.Uint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	major, err := u.meta.Uint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	flags, err := u.meta.Uint()
-	if err != nil {
-		return nil, err
+	c.minor, c.major = uint16(minor), uint16(major)
+	if c.flags, err = u.meta.Uint(); err != nil {
+		return err
 	}
-	this, err := u.classRef()
-	if err != nil {
-		return nil, err
+	if c.this, err = u.classRef(); err != nil {
+		return err
 	}
-	var super ir.ClassKey
-	if flags&flagHasSuper != 0 {
-		if super, err = u.classRef(); err != nil {
-			return nil, err
+	if c.flags&flagHasSuper != 0 {
+		if c.super, err = u.classRef(); err != nil {
+			return err
 		}
 	}
-	nIfacesRaw, err := u.meta.Uint()
+	nIfaces, err := u.count("interface")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nIfaces, err := checkCount(nIfacesRaw, "interface")
-	if err != nil {
-		return nil, err
-	}
-	ifaces := make([]ir.ClassKey, nIfaces)
-	for i := range ifaces {
-		if ifaces[i], err = u.classRef(); err != nil {
-			return nil, err
-		}
-	}
-	var inner []dInner
-	if flags&flagHasInner != 0 {
-		nRaw, err := u.meta.Uint()
+	for range nIfaces {
+		k, err := u.classRef()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		n, err := checkCount(nRaw, "inner class")
+		c.ifaces = append(c.ifaces, k)
+	}
+	if c.flags&flagHasInner != 0 {
+		n, err := u.count("inner class")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		inner = make([]dInner, n)
-		for i := range inner {
-			if inner[i], err = u.innerEntry(); err != nil {
-				return nil, err
+		for range n {
+			e, err := u.innerEntry()
+			if err != nil {
+				return err
 			}
+			c.inner = append(c.inner, e)
 		}
 	}
-	nFieldsRaw, err := u.meta.Uint()
+	nFields, err := u.count("field")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nFields, err := checkCount(nFieldsRaw, "field")
+	for range nFields {
+		f, err := u.field()
+		if err != nil {
+			return err
+		}
+		c.fields = append(c.fields, f)
+	}
+	nMethods, err := u.count("method")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fields := make([]dField, nFields)
-	for i := range fields {
-		if fields[i], err = u.field(); err != nil {
-			return nil, err
+	for range nMethods {
+		if err := u.method(c); err != nil {
+			return err
 		}
 	}
-	nMethodsRaw, err := u.meta.Uint()
-	if err != nil {
-		return nil, err
-	}
-	nMethods, err := checkCount(nMethodsRaw, "method")
-	if err != nil {
-		return nil, err
-	}
-	methods := make([]dMethod, nMethods)
-	for i := range methods {
-		if methods[i], err = u.method(); err != nil {
-			return nil, err
-		}
-	}
-	return u.build(uint16(minor), uint16(major), flags, this, super, ifaces, inner, fields, methods)
+	return nil
 }
 
 func (u *unpacker) innerEntry() (dInner, error) {
@@ -238,93 +263,94 @@ func (u *unpacker) constValue(t classfile.Type) (dConst, error) {
 	return c, err
 }
 
-func (u *unpacker) method() (dMethod, error) {
+// method decodes one method, appending its exceptions, handlers and
+// instructions to c's arenas and the method itself to c.methods.
+func (u *unpacker) method(c *decodedClass) error {
 	var m dMethod
 	var err error
 	if m.flags, err = u.meta.Uint(); err != nil {
-		return m, err
+		return err
 	}
 	if m.name, err = u.methodNameRef(); err != nil {
-		return m, err
+		return err
 	}
 	if m.sig, err = u.sigRef(); err != nil {
-		return m, err
+		return err
 	}
-	nExcRaw, err := u.meta.Uint()
+	nExc, err := u.count("exception")
 	if err != nil {
-		return m, err
+		return err
 	}
-	nExc, err := checkCount(nExcRaw, "exception")
-	if err != nil {
-		return m, err
-	}
-	m.exceptions = make([]ir.ClassKey, nExc)
-	for i := range m.exceptions {
-		if m.exceptions[i], err = u.classRef(); err != nil {
-			return m, err
+	m.exceptions.lo = len(c.exceptions)
+	for range nExc {
+		k, err := u.classRef()
+		if err != nil {
+			return err
 		}
+		c.exceptions = append(c.exceptions, k)
 	}
+	m.exceptions.hi = len(c.exceptions)
 	if m.flags&flagHasCode != 0 {
-		if m.code, err = u.code(); err != nil {
-			return m, fmt.Errorf("method %s: %w", m.name, err)
+		m.hasCode = true
+		if err := u.code(c, &m); err != nil {
+			return fmt.Errorf("method %s: %w", m.name, err)
 		}
 	}
-	return m, nil
+	c.methods = append(c.methods, m)
+	return nil
 }
 
-func (u *unpacker) code() (*dCode, error) {
-	c := &dCode{}
+// code decodes m's Code attribute into c's handler and instruction
+// arenas.
+func (u *unpacker) code(c *decodedClass, m *dMethod) error {
 	maxes := u.r.Stream(sMaxes)
 	v, err := maxes.Uint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c.maxStack = int(v)
+	m.maxStack = int(v)
 	if v, err = maxes.Uint(); err != nil {
-		return nil, err
+		return err
 	}
-	c.maxLocals = int(v)
-	nHandlersRaw, err := u.meta.Uint()
+	m.maxLocals = int(v)
+	nHandlers, err := u.count("handler")
 	if err != nil {
-		return nil, err
-	}
-	nHandlers, err := checkCount(nHandlersRaw, "handler")
-	if err != nil {
-		return nil, err
+		return err
 	}
 	hs := u.r.Stream(sHandler)
-	c.handlers = make([]dHandler, nHandlers)
 	handlerOffsets := u.hoffs[:0]
-	for i := range c.handlers {
-		h := &c.handlers[i]
-		for _, p := range []*int{&h.start, &h.end, &h.handler} {
-			v, err := hs.Uint()
-			if err != nil {
-				return nil, err
+	m.handlers.lo = len(c.handlers)
+	for range nHandlers {
+		var pcs [3]uint64 // start, end, handler
+		for k := range pcs {
+			if pcs[k], err = hs.Uint(); err != nil {
+				return err
 			}
-			*p = int(v)
 		}
+		h := dHandler{start: int(pcs[0]), end: int(pcs[1]), handler: int(pcs[2])}
 		flag, err := hs.ReadByte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if flag == 1 {
 			h.hasCatch = true
 			if h.catch, err = u.classRef(); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		c.handlers = append(c.handlers, h)
 		handlerOffsets = append(handlerOffsets, h.handler)
 	}
+	m.handlers.hi = len(c.handlers)
 	if v, err = u.meta.Uint(); err != nil {
-		return nil, err
+		return err
 	}
 	// Bound before narrowing to int, so a 64-bit length can neither
 	// wrap negative nor size the decode loop.
 	if v > 1<<26 {
-		return nil, corrupt.TooLarge(sMeta, -1, "code length %d implausible", v)
+		return corrupt.TooLarge(sMeta, -1, "code length %d implausible", v)
 	}
-	c.codeLen = int(v)
+	codeLen := int(v)
 	u.hoffs = handlerOffsets
 	var sim *stackstate.Sim
 	if u.opts.StackState {
@@ -337,19 +363,21 @@ func (u *unpacker) code() (*dCode, error) {
 		}
 		sim = u.sim
 	}
+	m.insns.lo = len(c.insns)
 	pos := 0
-	for pos < c.codeLen {
-		di, next, err := u.insn(pos, sim)
+	for pos < codeLen {
+		c.insns = append(c.insns, bytecode.Instruction{})
+		next, err := u.insn(c, pos, sim, &c.insns[len(c.insns)-1])
 		if err != nil {
-			return nil, fmt.Errorf("at offset %d: %w", pos, err)
+			return fmt.Errorf("at offset %d: %w", pos, err)
 		}
-		c.insns = append(c.insns, di)
 		pos = next
 	}
-	if pos != c.codeLen {
-		return nil, fmt.Errorf("core: instructions end at %d, code length %d", pos, c.codeLen)
+	m.insns.hi = len(c.insns)
+	if pos != codeLen {
+		return fmt.Errorf("core: instructions end at %d, code length %d", pos, codeLen)
 	}
-	return c, nil
+	return nil
 }
 
 // ldcFromPseudo maps a typed wire opcode back to the source instruction
@@ -376,28 +404,33 @@ func ldcFromPseudo(wire bytecode.Op) (op bytecode.Op, kind classfile.ConstKind, 
 	return 0, 0, false
 }
 
-func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
+// insn decodes one instruction at pos into in. A constant-pool operand
+// is left symbolic: in.A indexes the arena of c that holds it — consts
+// for ldc, members for field and method instructions, classKeys for
+// the class operand of the rest — and the build stage replaces it with
+// a pool index.
+func (u *unpacker) insn(c *decodedClass, pos int, sim *stackstate.Sim, in *bytecode.Instruction) (int, error) {
 	if sim != nil {
 		sim.Begin(pos)
 	}
-	var di dInsn
-	di.in.Offset = pos
+	in.Offset = pos
 	wireByte, err := u.r.Stream(sOpcodes).ReadByte()
 	if err != nil {
-		return di, 0, err
+		return 0, err
 	}
 	wire := bytecode.Op(wireByte)
+	isLdc := false
 	var ldcKind classfile.ConstKind
 	if op, kind, ok := ldcFromPseudo(wire); ok {
-		di.isLdc = true
-		di.in.Op = op
+		isLdc = true
+		in.Op = op
 		ldcKind = kind
 	} else if int(wire) >= numWireOps {
-		return di, 0, fmt.Errorf("core: invalid wire opcode 0x%02x", wireByte)
+		return 0, fmt.Errorf("core: invalid wire opcode 0x%02x", wireByte)
 	} else if sim != nil {
-		di.in.Op = sim.SourceOp(wire)
+		in.Op = sim.SourceOp(wire)
 	} else {
-		di.in.Op = wire
+		in.Op = wire
 	}
 
 	ctx := 0
@@ -405,142 +438,149 @@ func (u *unpacker) insn(pos int, sim *stackstate.Sim) (dInsn, int, error) {
 		ctx = sim.ContextID()
 	}
 	var info stackstate.OpInfo
-	switch bytecode.FormatOf(di.in.Op) {
+	switch bytecode.FormatOf(in.Op) {
 	case bytecode.FmtNone:
 	case bytecode.FmtLocal:
-		if err := u.readReg(&di.in, false); err != nil {
-			return di, 0, err
+		if err := u.readReg(in, false); err != nil {
+			return 0, err
 		}
 	case bytecode.FmtIinc:
-		if err := u.readReg(&di.in, true); err != nil {
-			return di, 0, err
+		if err := u.readReg(in, true); err != nil {
+			return 0, err
 		}
 	case bytecode.FmtSByte, bytecode.FmtSShort:
 		v, err := u.r.Stream(sIntImm).Int()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		di.in.A = int(v)
+		in.A = int(v)
 	case bytecode.FmtCP1, bytecode.FmtCP2:
-		if di.isLdc {
-			if err := u.ldcValue(&di, ldcKind); err != nil {
-				return di, 0, err
+		if isLdc {
+			cv, err := u.ldcValue(ldcKind)
+			if err != nil {
+				return 0, err
 			}
+			in.A = len(c.consts)
+			c.consts = append(c.consts, cv)
 			info.HasConst = true
 			info.Const = constStackKind(ldcKind)
 			break
 		}
-		if err := u.cpOperand(&di, ctx, &info); err != nil {
-			return di, 0, err
+		if err := u.cpOperand(c, in, ctx, &info); err != nil {
+			return 0, err
 		}
 	case bytecode.FmtInvokeInterface:
-		di.hasUse = true
-		di.use = useInterface
-		if di.member, err = u.memberRef(useInterface, ctx); err != nil {
-			return di, 0, err
-		}
-		e, err := u.methodSig(di.member.Desc)
+		m, err := u.memberRef(useInterface, ctx)
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		di.in.B = e.argSlots + 1
+		in.A = len(c.members)
+		c.members = append(c.members, m)
+		e, err := u.methodSig(m.Desc)
+		if err != nil {
+			return 0, err
+		}
+		in.B = e.argSlots + 1
 		info.HasMethod = true
 		info.Params, info.Ret = e.params, e.ret
 	case bytecode.FmtMultiANewArray:
-		if di.class, err = u.classRef(); err != nil {
-			return di, 0, err
+		k, err := u.classRef()
+		if err != nil {
+			return 0, err
 		}
+		in.A = len(c.classKeys)
+		c.classKeys = append(c.classKeys, k)
 		dims, err := u.r.Stream(sMiscOp).ReadByte()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		di.in.B = int(dims)
+		in.B = int(dims)
 	case bytecode.FmtNewArray:
 		atype, err := u.r.Stream(sMiscOp).ReadByte()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		di.in.A = int(atype)
+		in.A = int(atype)
 	case bytecode.FmtBranch2, bytecode.FmtBranch4:
 		rel, err := u.r.Stream(sBranch).Int()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
-		di.in.A = pos + int(rel)
+		in.A = pos + int(rel)
 	case bytecode.FmtTableSwitch:
 		sw := u.r.Stream(sSwitch)
 		def, err := sw.Int()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		low, err := sw.Int()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		n, err := sw.Uint()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		if n > 1<<20 {
-			return di, 0, corrupt.TooLarge(sSwitch, -1, "tableswitch with %d targets", n)
+			return 0, corrupt.TooLarge(sSwitch, -1, "tableswitch with %d targets", n)
 		}
-		di.in.Default = pos + int(def)
-		di.in.Low = int32(low)
-		di.in.High = int32(low) + int32(n) - 1
-		di.in.Targets = make([]int, n)
-		for i := range di.in.Targets {
+		in.Default = pos + int(def)
+		in.Low = int32(low)
+		in.High = int32(low) + int32(n) - 1
+		in.Targets = make([]int, n)
+		for i := range in.Targets {
 			rel, err := sw.Int()
 			if err != nil {
-				return di, 0, err
+				return 0, err
 			}
-			di.in.Targets[i] = pos + int(rel)
+			in.Targets[i] = pos + int(rel)
 		}
 	case bytecode.FmtLookupSwitch:
 		sw := u.r.Stream(sSwitch)
 		def, err := sw.Int()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		n, err := sw.Uint()
 		if err != nil {
-			return di, 0, err
+			return 0, err
 		}
 		if n > 1<<20 {
-			return di, 0, corrupt.TooLarge(sSwitch, -1, "lookupswitch with %d pairs", n)
+			return 0, corrupt.TooLarge(sSwitch, -1, "lookupswitch with %d pairs", n)
 		}
-		di.in.Default = pos + int(def)
-		di.in.Keys = make([]int32, n)
-		for i := range di.in.Keys {
+		in.Default = pos + int(def)
+		in.Keys = make([]int32, n)
+		for i := range in.Keys {
 			if i == 0 {
 				k, err := sw.Int()
 				if err != nil {
-					return di, 0, err
+					return 0, err
 				}
-				di.in.Keys[0] = int32(k)
+				in.Keys[0] = int32(k)
 			} else {
 				diff, err := sw.Uint()
 				if err != nil {
-					return di, 0, err
+					return 0, err
 				}
-				di.in.Keys[i] = di.in.Keys[i-1] + int32(diff)
+				in.Keys[i] = in.Keys[i-1] + int32(diff)
 			}
 		}
-		di.in.Targets = make([]int, n)
-		for i := range di.in.Targets {
+		in.Targets = make([]int, n)
+		for i := range in.Targets {
 			rel, err := sw.Int()
 			if err != nil {
-				return di, 0, err
+				return 0, err
 			}
-			di.in.Targets[i] = pos + int(rel)
+			in.Targets[i] = pos + int(rel)
 		}
 	default:
-		return di, 0, fmt.Errorf("core: cannot unpack opcode %s", di.in.Op)
+		return 0, fmt.Errorf("core: cannot unpack opcode %s", in.Op)
 	}
 
 	if sim != nil {
-		sim.StepInfo(&di.in, info)
+		sim.StepInfo(in, info)
 	}
-	return di, pos + di.in.Size(), nil
+	return pos + in.Size(), nil
 }
 
 // constStackKind maps a pool kind to the stack kind ldc pushes.
@@ -591,102 +631,129 @@ func (u *unpacker) readReg(in *bytecode.Instruction, iinc bool) error {
 	return nil
 }
 
-func (u *unpacker) ldcValue(di *dInsn, kind classfile.ConstKind) error {
-	di.cv.kind = kind
+func (u *unpacker) ldcValue(kind classfile.ConstKind) (dConst, error) {
+	cv := dConst{kind: kind}
 	var err error
 	switch kind {
 	case classfile.KindInteger:
 		var v int64
 		if v, err = u.r.Stream(sIntLdc).Int(); err == nil {
-			di.cv.i = int32(v)
+			cv.i = int32(v)
 		}
 	case classfile.KindFloat:
-		di.cv.f, err = u.readF32()
+		cv.f, err = u.readF32()
 	case classfile.KindString:
-		di.cv.s, err = u.stringConstRef()
+		cv.s, err = u.stringConstRef()
 	case classfile.KindLong:
-		di.cv.l, err = u.r.Stream(sLong).Int()
+		cv.l, err = u.r.Stream(sLong).Int()
 	case classfile.KindDouble:
-		di.cv.d, err = u.readF64()
+		cv.d, err = u.readF64()
 	}
-	return err
+	return cv, err
 }
 
-func (u *unpacker) cpOperand(di *dInsn, ctx int, info *stackstate.OpInfo) error {
-	var err error
-	switch di.in.Op {
+// cpOperand decodes the operand of a field, method or class instruction
+// other than invokeinterface and multianewarray into c's arenas.
+func (u *unpacker) cpOperand(c *decodedClass, in *bytecode.Instruction, ctx int, info *stackstate.OpInfo) error {
+	var use opUse
+	switch in.Op {
 	case bytecode.Getfield, bytecode.Putfield:
-		di.hasUse = true
-		di.use = useGetfield
-		di.member, err = u.memberRef(useGetfield, ctx)
+		use = useGetfield
 	case bytecode.Getstatic, bytecode.Putstatic:
-		di.hasUse = true
-		di.use = useGetstatic
-		di.member, err = u.memberRef(useGetstatic, ctx)
+		use = useGetstatic
 	case bytecode.Invokevirtual:
-		di.hasUse = true
-		di.use = useVirtual
-		di.member, err = u.memberRef(useVirtual, ctx)
+		use = useVirtual
 	case bytecode.Invokespecial:
-		di.hasUse = true
-		di.use = useSpecial
-		di.member, err = u.memberRef(useSpecial, ctx)
+		use = useSpecial
 	case bytecode.Invokestatic:
-		di.hasUse = true
-		di.use = useStatic
-		di.member, err = u.memberRef(useStatic, ctx)
+		use = useStatic
 	case bytecode.New, bytecode.Anewarray, bytecode.Checkcast, bytecode.Instanceof:
-		di.class, err = u.classRef()
-		return err
+		k, err := u.classRef()
+		if err != nil {
+			return err
+		}
+		in.A = len(c.classKeys)
+		c.classKeys = append(c.classKeys, k)
+		return nil
 	default:
-		return fmt.Errorf("core: unexpected constant-pool instruction %s", di.in.Op)
+		return fmt.Errorf("core: unexpected constant-pool instruction %s", in.Op)
 	}
+	m, err := u.memberRef(use, ctx)
 	if err != nil {
 		return err
 	}
-	switch di.use {
-	case useGetfield, useGetstatic:
-		t, terr := u.fieldInfoType(di.member.Desc)
-		if terr != nil {
-			return terr
+	in.A = len(c.members)
+	c.members = append(c.members, m)
+	if use == useGetfield || use == useGetstatic {
+		t, err := u.fieldInfoType(m.Desc)
+		if err != nil {
+			return err
 		}
 		info.HasField = true
 		info.Field = t
-	default:
-		e, serr := u.methodSig(di.member.Desc)
-		if serr != nil {
-			return serr
-		}
-		info.HasMethod = true
-		info.Params, info.Ret = e.params, e.ret
+		return nil
 	}
+	e, err := u.methodSig(m.Desc)
+	if err != nil {
+		return err
+	}
+	info.HasMethod = true
+	info.Params, info.Ret = e.params, e.ret
 	return nil
 }
 
-// build converts the decoded class into a canonical classfile.
-func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.ClassKey,
-	ifaces []ir.ClassKey, inner []dInner, fields []dField, methods []dMethod) (*classfile.ClassFile, error) {
+// classBuilder is the parallel stage of class decoding: it turns a
+// decodedClass into a canonical classfile — interning every operand in
+// a fresh constant pool, then renumbering it the way strip does. It
+// reads no wire state, so several builders run at once; each owns the
+// caches and scratch it reuses across the classes it builds.
+type classBuilder struct {
+	classNames map[ir.ClassKey]string
+	scratch    strip.Scratch
+	decoded    map[*classfile.CodeAttr][]bytecode.Instruction
+	names      []string
+}
 
-	b := classfile.NewEmptyBuilder(uint16(flags))
-	b.SetThisClass(u.className(this))
-	if flags&flagHasSuper != 0 {
-		b.SetSuperClass(u.className(super))
+func newClassBuilder() *classBuilder {
+	return &classBuilder{
+		classNames: make(map[ir.ClassKey]string),
+		decoded:    make(map[*classfile.CodeAttr][]bytecode.Instruction),
 	}
-	b.CF.MinorVersion = minor
-	b.CF.MajorVersion = major
-	for _, k := range ifaces {
-		b.AddInterface(u.className(k))
+}
+
+// className memoizes ir.KeyToClassName, which joins package and simple
+// name into a fresh string on every call.
+func (cb *classBuilder) className(k ir.ClassKey) string {
+	if s, ok := cb.classNames[k]; ok {
+		return s
 	}
-	if len(inner) > 0 {
+	s := ir.KeyToClassName(k)
+	cb.classNames[k] = s
+	return s
+}
+
+// build converts the decoded class into a canonical classfile.
+func (cb *classBuilder) build(c *decodedClass) (*classfile.ClassFile, error) {
+	b := classfile.NewEmptyBuilder(uint16(c.flags))
+	b.SetThisClass(cb.className(c.this))
+	if c.flags&flagHasSuper != 0 {
+		b.SetSuperClass(cb.className(c.super))
+	}
+	b.CF.MinorVersion = c.minor
+	b.CF.MajorVersion = c.major
+	for _, k := range c.ifaces {
+		b.AddInterface(cb.className(k))
+	}
+	if len(c.inner) > 0 {
 		ic := &classfile.InnerClassesAttr{}
 		ic.NameIndex = b.Utf8("InnerClasses")
-		for _, e := range inner {
+		for _, e := range c.inner {
 			entry := classfile.InnerClass{
-				Inner:       b.Class(u.className(e.inner)),
+				Inner:       b.Class(cb.className(e.inner)),
 				AccessFlags: e.access,
 			}
 			if e.hasOuter {
-				entry.Outer = b.Class(u.className(e.outer))
+				entry.Outer = b.Class(cb.className(e.outer))
 			}
 			if e.hasName {
 				entry.InnerName = b.Utf8(e.name)
@@ -695,72 +762,51 @@ func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.Class
 		}
 		b.CF.Attrs = append(b.CF.Attrs, ic)
 	}
-	addFlagAttrs(b, &b.CF.Attrs, flags)
+	addFlagAttrs(b, &b.CF.Attrs, c.flags)
 
-	for _, f := range fields {
+	for _, f := range c.fields {
 		member := b.AddField(uint16(f.flags), f.name, ir.KeyToType(f.typ).String())
 		if f.hasConst {
-			var idx uint16
-			switch f.cv.kind {
-			case classfile.KindInteger:
-				idx = b.Int(f.cv.i)
-			case classfile.KindFloat:
-				idx = b.Float(f.cv.f)
-			case classfile.KindLong:
-				idx = b.Long(f.cv.l)
-			case classfile.KindDouble:
-				idx = b.Double(f.cv.d)
-			case classfile.KindString:
-				idx = b.String(f.cv.s)
-			}
-			b.AttachConstantValue(member, idx)
+			b.AttachConstantValue(member, internConst(b, &f.cv))
 		}
 		addFlagAttrs(b, &member.Attrs, f.flags)
 	}
 
-	decoded := u.decoded
-	if decoded == nil {
-		decoded = make(map[*classfile.CodeAttr][]bytecode.Instruction)
-		u.decoded = decoded
-	} else {
-		clear(decoded)
-	}
-	for _, m := range methods {
+	clear(cb.decoded)
+	for i := range c.methods {
+		m := &c.methods[i]
 		member := b.AddMethod(uint16(m.flags), m.name, ir.SignatureToDescriptor(m.sig))
-		if m.code != nil {
+		if m.hasCode {
 			attr := &classfile.CodeAttr{
-				MaxStack:  uint16(m.code.maxStack),
-				MaxLocals: uint16(m.code.maxLocals),
+				MaxStack:  uint16(m.maxStack),
+				MaxLocals: uint16(m.maxLocals),
 			}
-			insns := make([]bytecode.Instruction, len(m.code.insns))
-			for i := range m.code.insns {
-				di := &m.code.insns[i]
-				in := di.in
-				if err := u.resolveOperand(b, di, &in); err != nil {
-					return nil, err
+			code := c.insns[m.insns.lo:m.insns.hi]
+			for j := range code {
+				if bytecode.IsCPRef(code[j].Op) {
+					code[j].A = int(cb.resolveOperand(b, c, &code[j]))
 				}
-				insns[i] = in
 			}
-			for _, h := range m.code.handlers {
+			for _, h := range c.handlers[m.handlers.lo:m.handlers.hi] {
 				eh := classfile.ExceptionHandler{
 					StartPC:   uint16(h.start),
 					EndPC:     uint16(h.end),
 					HandlerPC: uint16(h.handler),
 				}
 				if h.hasCatch {
-					eh.CatchType = b.Class(u.className(h.catch))
+					eh.CatchType = b.Class(cb.className(h.catch))
 				}
 				attr.Handlers = append(attr.Handlers, eh)
 			}
 			b.AttachCode(member, attr)
-			decoded[attr] = insns
+			cb.decoded[attr] = code
 		}
-		if len(m.exceptions) > 0 {
-			names := make([]string, len(m.exceptions))
-			for i, k := range m.exceptions {
-				names[i] = u.className(k)
+		if m.exceptions.hi > m.exceptions.lo {
+			cb.names = cb.names[:0]
+			for _, k := range c.exceptions[m.exceptions.lo:m.exceptions.hi] {
+				cb.names = append(cb.names, cb.className(k))
 			}
-			b.AttachExceptions(member, names)
+			b.AttachExceptions(member, cb.names)
 		}
 		addFlagAttrs(b, &member.Attrs, m.flags)
 	}
@@ -769,10 +815,27 @@ func (u *unpacker) build(minor, major uint16, flags uint64, this, super ir.Class
 	if err != nil {
 		return nil, err
 	}
-	if err := strip.RenumberWithCodeScratch(cf, decoded, &u.scratch); err != nil {
+	if err := strip.RenumberWithCodeScratch(cf, cb.decoded, &cb.scratch); err != nil {
 		return nil, err
 	}
 	return cf, nil
+}
+
+// internConst interns a decoded constant value and returns its index.
+func internConst(b *classfile.Builder, cv *dConst) uint16 {
+	switch cv.kind {
+	case classfile.KindInteger:
+		return b.Int(cv.i)
+	case classfile.KindFloat:
+		return b.Float(cv.f)
+	case classfile.KindLong:
+		return b.Long(cv.l)
+	case classfile.KindDouble:
+		return b.Double(cv.d)
+	case classfile.KindString:
+		return b.String(cv.s)
+	}
+	return 0
 }
 
 // addFlagAttrs materializes the Synthetic/Deprecated flag bits as
@@ -790,37 +853,24 @@ func addFlagAttrs(b *classfile.Builder, attrs *[]classfile.Attribute, flags uint
 	}
 }
 
-// resolveOperand interns the decoded symbolic operand and patches the
-// instruction's constant-pool index.
-func (u *unpacker) resolveOperand(b *classfile.Builder, di *dInsn, in *bytecode.Instruction) error {
-	switch {
-	case di.isLdc:
-		var idx uint16
-		switch di.cv.kind {
-		case classfile.KindInteger:
-			idx = b.Int(di.cv.i)
-		case classfile.KindFloat:
-			idx = b.Float(di.cv.f)
-		case classfile.KindString:
-			idx = b.String(di.cv.s)
-		case classfile.KindLong:
-			idx = b.Long(di.cv.l)
-		case classfile.KindDouble:
-			idx = b.Double(di.cv.d)
-		}
-		in.A = int(idx)
-	case di.hasUse:
-		owner := u.className(di.member.Owner)
-		switch di.member.Kind {
+// resolveOperand interns the symbolic operand in.A names in c's
+// arenas (see insn) and returns its constant-pool index.
+func (cb *classBuilder) resolveOperand(b *classfile.Builder, c *decodedClass, in *bytecode.Instruction) uint16 {
+	switch in.Op {
+	case bytecode.Ldc, bytecode.LdcW, bytecode.Ldc2W:
+		return internConst(b, &c.consts[in.A])
+	case bytecode.Getfield, bytecode.Putfield, bytecode.Getstatic, bytecode.Putstatic,
+		bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic, bytecode.Invokeinterface:
+		m := &c.members[in.A]
+		owner := cb.className(m.Owner)
+		switch m.Kind {
 		case classfile.KindFieldref:
-			in.A = int(b.Fieldref(owner, di.member.Name, di.member.Desc))
+			return b.Fieldref(owner, m.Name, m.Desc)
 		case classfile.KindInterfaceMethodref:
-			in.A = int(b.InterfaceMethodref(owner, di.member.Name, di.member.Desc))
+			return b.InterfaceMethodref(owner, m.Name, m.Desc)
 		default:
-			in.A = int(b.Methodref(owner, di.member.Name, di.member.Desc))
+			return b.Methodref(owner, m.Name, m.Desc)
 		}
-	case bytecode.IsCPRef(in.Op):
-		in.A = int(b.Class(u.className(di.class)))
 	}
-	return nil
+	return b.Class(cb.className(c.classKeys[in.A]))
 }

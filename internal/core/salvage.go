@@ -83,7 +83,7 @@ func salvageBody(opts Options, o UnpackOpts, body []byte, checked bool) chunkSal
 	r, quarantined := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
 	cs := chunkSalvage{quarantined: quarantined, decoded: r.DecodedBytes()}
 	var err error
-	cs.declared, cs.abortAt, err = newUnpacker(opts, r).classes(effectiveMaxClasses(o),
+	cs.declared, cs.abortAt, err = newUnpacker(opts, r).classes(o,
 		func(_ int, cf *classfile.ClassFile) error {
 			cs.classes = append(cs.classes, cf)
 			return nil

@@ -553,11 +553,16 @@ func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) er
 			return w.verifyIndex(names)
 		}
 		count := 0
+		var visitErr error
 		db, err := DecodeChunk(opts, body, true, co, func(_ int, cf *classfile.ClassFile) error {
 			count++
 			names = append(names, cf.ThisClassName())
-			return visit(cf)
+			visitErr = visit(cf)
+			return visitErr
 		})
+		if visitErr != nil {
+			return visitErr
+		}
 		if err != nil {
 			return fmt.Errorf("core: unpack chunk %d: %w", len(w.chunks)-1, err)
 		}

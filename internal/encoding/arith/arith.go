@@ -20,16 +20,17 @@ const (
 	increment = 32
 )
 
-// model is an adaptive frequency model over n symbols with cumulative
-// counts maintained in a Fenwick tree.
+// model is an adaptive frequency model over n symbols: per-symbol
+// counts, plus their cumulative counts maintained in a Fenwick tree.
 type model struct {
 	n    int
+	freq []uint32 // count of each symbol
 	tree []uint32 // Fenwick tree of counts, 1-based
 	sum  uint32
 }
 
 func newModel(n int) *model {
-	m := &model{n: n, tree: make([]uint32, n+1)}
+	m := &model{n: n, freq: make([]uint32, n), tree: make([]uint32, n+1)}
 	for s := 0; s < n; s++ {
 		m.add(s, 1)
 	}
@@ -37,6 +38,7 @@ func newModel(n int) *model {
 }
 
 func (m *model) add(s int, d uint32) {
+	m.freq[s] += d
 	for i := s + 1; i <= m.n; i += i & -i {
 		m.tree[i] += d
 	}
@@ -52,10 +54,9 @@ func (m *model) cumBelow(s int) uint32 {
 	return c
 }
 
-func (m *model) count(s int) uint32 { return m.cumBelow(s+1) - m.cumBelow(s) }
-
-// find returns the symbol whose cumulative interval contains target.
-func (m *model) find(target uint32) int {
+// find returns the symbol whose cumulative interval contains target,
+// and the total count of the symbols below it.
+func (m *model) find(target uint32) (int, uint32) {
 	pos := 0
 	step := 1
 	for step<<1 <= m.n {
@@ -68,7 +69,7 @@ func (m *model) find(target uint32) int {
 			acc += m.tree[pos]
 		}
 	}
-	return pos // count of symbols fully below target
+	return pos, acc // pos counts the symbols fully below target
 }
 
 func (m *model) update(s int) {
@@ -78,18 +79,13 @@ func (m *model) update(s int) {
 	}
 }
 
+// rescale halves every count (keeping each at least 1), in place.
 func (m *model) rescale() {
-	counts := make([]uint32, m.n)
-	for s := 0; s < m.n; s++ {
-		counts[s] = (m.count(s) + 1) / 2
-		if counts[s] == 0 {
-			counts[s] = 1
-		}
-	}
-	m.tree = make([]uint32, m.n+1)
+	clear(m.tree)
 	m.sum = 0
-	for s, c := range counts {
-		m.add(s, c)
+	for s, c := range m.freq {
+		m.freq[s] = 0
+		m.add(s, max((c+1)/2, 1))
 	}
 }
 
@@ -144,7 +140,7 @@ func (e *Encoder) Encode(s int) error {
 	}
 	total := uint64(e.m.sum)
 	lo := uint64(e.m.cumBelow(s))
-	hi := lo + uint64(e.m.count(s))
+	hi := lo + uint64(e.m.freq[s])
 	width := e.high - e.low + 1
 	e.high = e.low + width*hi/total - 1
 	e.low = e.low + width*lo/total
@@ -222,9 +218,9 @@ func (d *Decoder) Decode() (int, error) {
 	if target >= total {
 		return 0, io.ErrUnexpectedEOF
 	}
-	s := d.m.find(uint32(target))
-	lo := uint64(d.m.cumBelow(s))
-	hi := lo + uint64(d.m.count(s))
+	s, below := d.m.find(uint32(target))
+	lo := uint64(below)
+	hi := lo + uint64(d.m.freq[s])
 	d.high = d.low + width*hi/total - 1
 	d.low = d.low + width*lo/total
 	for {
@@ -260,6 +256,17 @@ func EncodeAll(n int, syms []int) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
+// EncodeBytes codes a byte stream over the 256-symbol alphabet. It
+// produces exactly the bytes EncodeAll(256, ...) would for the same
+// values, without widening the input to []int.
+func EncodeBytes(raw []byte) []byte {
+	e := NewEncoder(256)
+	for _, b := range raw {
+		_ = e.Encode(int(b)) // every byte value is in range
+	}
+	return e.Bytes()
+}
+
 // DecodeAll decodes count symbols from buf.
 func DecodeAll(n int, buf []byte, count int) ([]int, error) {
 	d := NewDecoder(n, buf)
@@ -270,6 +277,21 @@ func DecodeAll(n int, buf []byte, count int) ([]int, error) {
 			return nil, err
 		}
 		out[i] = s
+	}
+	return out, nil
+}
+
+// DecodeBytes decodes count bytes coded by EncodeBytes (or by
+// EncodeAll over 256 symbols) from buf.
+func DecodeBytes(buf []byte, count int) ([]byte, error) {
+	d := NewDecoder(256, buf)
+	out := make([]byte, count)
+	for i := range out {
+		s, err := d.Decode()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = byte(s)
 	}
 	return out, nil
 }

@@ -92,3 +92,32 @@ func TestModelRescale(t *testing.T) {
 	}
 	roundTrip(t, 3, syms)
 }
+
+// TestBytesMatchesInts pins the byte-alphabet entry points to the []int
+// ones: the same stream must code to the same bits and decode back.
+func TestBytesMatchesInts(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 7, 1000, maxTotal / increment * 3} {
+		raw := make([]byte, n)
+		syms := make([]int, n)
+		for i := range raw {
+			raw[i] = byte(rng.ExpFloat64() * 20)
+			syms[i] = int(raw[i])
+		}
+		want, err := EncodeAll(256, syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := EncodeBytes(raw)
+		if string(got) != string(want) {
+			t.Fatalf("n=%d: EncodeBytes differs from EncodeAll", n)
+		}
+		back, err := DecodeBytes(got, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(back) != string(raw) {
+			t.Fatalf("n=%d: DecodeBytes did not round-trip", n)
+		}
+	}
+}

@@ -15,8 +15,10 @@ package strip
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"classpack/internal/bytecode"
 	"classpack/internal/classfile"
@@ -43,12 +45,27 @@ func Apply(cf *classfile.ClassFile, opts Options) error {
 // successive Apply calls eliminates nearly all per-file allocation.
 // The zero value is ready for use.
 type Scratch struct {
-	arena  []bytecode.Instruction
-	codes  []decodedCode
-	used   []bool
-	ldcRef []bool
-	keys   []string
-	kbuf   []byte
+	arena    []bytecode.Instruction
+	codes    []decodedCode
+	used     []bool
+	ldcRef   []bool
+	kbuf     []byte
+	offs     []int32
+	of       []int32
+	byKey    map[string]int32
+	entries  []poolEntry
+	newIndex []uint16
+}
+
+// poolEntry is one distinct constant of a renumber pass: its content
+// key, its first occurrence in the old pool, and its position before
+// sorting (which the old pool's indices map to).
+type poolEntry struct {
+	key   string
+	first int
+	pos   int32
+	group int
+	ldc   bool
 }
 
 // boolTable returns buf resized to n and cleared, reallocating only when
@@ -60,6 +77,15 @@ func boolTable(buf []bool, n int) []bool {
 	buf = buf[:n]
 	clear(buf)
 	return buf
+}
+
+// int32Table returns buf resized to n, reallocating only when it has
+// grown. Entries are not cleared: callers write every one they read.
+func int32Table(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // ApplyScratch is Apply with caller-owned scratch memory (nil behaves
@@ -222,14 +248,9 @@ func sortGroup(kind classfile.ConstKind, ldcRef bool) int {
 	}
 }
 
-// contentKey returns a string that identifies a constant by value, used
-// both to merge duplicates and as the deterministic sort key.
-func contentKey(pool []classfile.Constant, idx uint16, depth int) string {
-	return string(appendContentKey(nil, pool, idx, depth))
-}
-
-// appendContentKey is contentKey into a caller-owned buffer. The bytes
-// replicate the historical fmt verbs exactly ("%d", "%08x", "%016x"):
+// appendContentKey appends the key that identifies a constant by value,
+// used both to merge duplicates and as the deterministic sort key. The
+// bytes replicate the historical fmt verbs exactly ("%d", "%08x", "%016x"):
 // the keys order the renumbered pool, so any drift changes packed output.
 func appendContentKey(dst []byte, pool []classfile.Constant, idx uint16, depth int) []byte {
 	if idx == 0 || int(idx) >= len(pool) || depth > 4 {
@@ -373,75 +394,74 @@ func renumber(cf *classfile.ClassFile, decoded map[*classfile.CodeAttr][]bytecod
 	}
 	sc.arena, sc.codes = arena, codes
 
-	// Merge duplicates and order survivors.
-	keys := sc.keys
-	if cap(keys) < len(pool) {
-		keys = make([]string, len(pool))
-	} else {
-		keys = keys[:len(pool)]
-		clear(keys)
-	}
-	sc.keys = keys
+	// Merge duplicates and order survivors. Every used constant's
+	// content key is appended to one buffer and converted to a string
+	// once, so each key is a substring of it: the pass allocates once for
+	// all keys, not once per constant. Each distinct key becomes one
+	// entry, ldc-referenced if any of its duplicates is.
+	offs := int32Table(sc.offs, len(pool)+1) // key i is kbuf[offs[i]:offs[i+1]]
+	offs[1] = 0
+	kbuf := sc.kbuf[:0]
 	for i := 1; i < len(pool); i++ {
 		if used[i] {
-			sc.kbuf = appendContentKey(sc.kbuf[:0], pool, uint16(i), 0)
-			keys[i] = string(sc.kbuf)
+			kbuf = appendContentKey(kbuf, pool, uint16(i), 0)
 		}
+		offs[i+1] = int32(len(kbuf))
 	}
-	// A constant is ldc-referenced if any duplicate of it is.
-	ldcByKey := make(map[string]bool)
+	sc.offs, sc.kbuf = offs, kbuf
+	all := string(kbuf)
+	if sc.byKey == nil {
+		sc.byKey = make(map[string]int32)
+	}
+	byKey := sc.byKey
+	clear(byKey)
+	of := int32Table(sc.of, len(pool)) // entry of each used constant
+	entries := sc.entries[:0]
 	for i := 1; i < len(pool); i++ {
-		if used[i] && ldcRef[i] {
-			ldcByKey[keys[i]] = true
-		}
-	}
-	type entry struct {
-		key   string
-		group int
-		first int // original index of the first occurrence
-	}
-	var entries []entry
-	seen := make(map[string]bool)
-	for i := 1; i < len(pool); i++ {
-		if !used[i] || seen[keys[i]] {
+		if !used[i] {
 			continue
 		}
-		seen[keys[i]] = true
-		entries = append(entries, entry{
-			key:   keys[i],
-			group: sortGroup(pool[i].Kind, ldcByKey[keys[i]]),
-			first: i,
-		})
+		key := all[offs[i]:offs[i+1]]
+		e, ok := byKey[key]
+		if !ok {
+			e = int32(len(entries))
+			byKey[key] = e
+			entries = append(entries, poolEntry{key: key, first: i, pos: e})
+		}
+		entries[e].ldc = entries[e].ldc || ldcRef[i]
+		of[i] = e
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].group != entries[b].group {
-			return entries[a].group < entries[b].group
+	for k := range entries {
+		entries[k].group = sortGroup(pool[entries[k].first].Kind, entries[k].ldc)
+	}
+	// Keys are distinct, so (group, key) is a total order.
+	slices.SortFunc(entries, func(a, b poolEntry) int {
+		if a.group != b.group {
+			return a.group - b.group
 		}
-		if entries[a].key != entries[b].key {
-			return entries[a].key < entries[b].key
-		}
-		return entries[a].first < entries[b].first
+		return strings.Compare(a.key, b.key)
 	})
+	sc.of, sc.entries = of, entries
 
-	// Lay out the new pool and build the translation map.
+	// Lay out the new pool and build the translation table.
 	newPool := make([]classfile.Constant, 1, len(pool))
-	newIndexByKey := make(map[string]uint16, len(entries))
+	newIndex := slices.Grow(sc.newIndex[:0], len(entries))[:len(entries)] // by pre-sort position
+	sc.newIndex = newIndex
 	for _, e := range entries {
-		idx := uint16(len(newPool))
+		newIndex[e.pos] = uint16(len(newPool))
 		newPool = append(newPool, pool[e.first])
 		if pool[e.first].Kind.Wide() {
 			newPool = append(newPool, classfile.Constant{})
 		}
-		newIndexByKey[e.key] = idx
 	}
 	if len(newPool) > 0xFFFF {
 		return fmt.Errorf("strip: renumbered pool overflows (%d entries)", len(newPool))
 	}
 	remap := func(idx uint16) uint16 {
-		if idx == 0 {
+		if idx == 0 || int(idx) >= len(pool) || !used[idx] {
 			return 0
 		}
-		return newIndexByKey[keys[idx]]
+		return newIndex[of[idx]]
 	}
 	// Verify the §9 guarantee before rewriting any code.
 	for i := 1; i < len(pool); i++ {
