@@ -208,7 +208,7 @@ func TestChaosVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGoldenClasses(t, "jess.v1.cjp", cleanLegacy)
+	checkGoldenClasses(t, "jess", cleanLegacy)
 	stride := len(legacy) / 40
 	if testing.Short() {
 		stride = len(legacy) / 8

@@ -39,7 +39,7 @@ func TestLegacyVersion1RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Unpack(version-1 archive): %v", err)
 	}
-	checkGoldenClasses(t, "hanoi.v1.cjp", out)
+	checkGoldenClasses(t, "hanoi", out)
 	if len(out) != len(stripped) {
 		t.Fatalf("legacy unpack: %d files, want %d", len(out), len(stripped))
 	}
