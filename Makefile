@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test lint verify perfbench-check bench bench-smoke bench-compare tables serve-smoke chaos-smoke drill-smoke delta-smoke fuzz-smoke fuzz-corpus
 
@@ -8,7 +9,8 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs go vet plus classpack-vet, the custom nine-analyzer suite:
+# lint fails on any file gofmt would change, then runs go vet plus
+# classpack-vet, the custom nine-analyzer suite:
 # the decoder-safety proofs (decodebound, nopanic, corrupterr,
 # poolbalance) and the daemon-layer concurrency checks (ctxflow,
 # guardedfield, goroutineleak, vfsdirect, balancegen). Any finding
@@ -18,6 +20,8 @@ test:
 # (measured in-tool, so go-run compile time is not charged) exceeds
 # 30s — the lint gate must stay cheap enough for a pre-push hook.
 lint:
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/classpack-vet -timing -budget 30s ./...
 
@@ -27,9 +31,9 @@ lint:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# verify is the full hygiene gate: compile everything, lint (go vet +
-# classpack-vet), check the benchmark module, then run the whole suite
-# under the race detector.
+# verify is the full hygiene gate: lint (gofmt, go vet, classpack-vet),
+# the end-to-end patch check, the benchmark module, then compile
+# everything and run the whole suite under the race detector.
 # Expected clean — the parallel pack/unpack pipeline and the bench
 # corpus cache are race-stress-tested. The service and cache layers get
 # an explicit second race pass: their retry/eviction paths are the most

@@ -106,8 +106,9 @@ type Options struct {
 	// JDK names (§14 of the paper); helpful mainly for small archives.
 	Preload bool
 	// Concurrency bounds the worker pool used for per-file
-	// parse/canonicalize and per-stream compression: 0 means all cores,
-	// 1 reproduces the serial path exactly. It is a local performance
+	// parse/canonicalize and per-stream compression (per-chunk encoding
+	// in a version-3 archive): 0 means all cores, 1 reproduces the
+	// serial path exactly. It is a local performance
 	// knob only — the packed bytes are identical for every value.
 	Concurrency int
 	// MaxDecodedBytes caps the total decoded size of all wire streams

@@ -7,7 +7,9 @@ import (
 
 	"classpack/internal/archive"
 	"classpack/internal/classfile"
+	"classpack/internal/core"
 	"classpack/internal/minijava"
+	"classpack/internal/streams"
 	"classpack/internal/synth"
 )
 
@@ -137,14 +139,51 @@ func TestJarRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackStats checks that PackStats describes the archive Pack
+// writes: every category is filled, and the categories add up to the
+// stream payload bytes of the version-2 body, or of every version-3
+// chunk.
 func TestPackStats(t *testing.T) {
 	files := sample(t)
-	s, err := PackStats(files, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Strings <= 0 || s.Opcodes <= 0 || s.Ints <= 0 || s.Refs <= 0 {
-		t.Fatalf("empty stat categories: %+v", s)
+	for _, chunk := range []int{0, 4} {
+		opts := DefaultOptions()
+		opts.ChunkClasses = chunk
+		s, err := PackStats(files, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Strings <= 0 || s.Opcodes <= 0 || s.Ints <= 0 || s.Refs <= 0 {
+			t.Fatalf("ChunkClasses %d: empty stat categories: %+v", chunk, s)
+		}
+		packed, err := Pack(files, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies := [][]byte{packed[6:]}
+		if chunk > 0 {
+			ix, err := core.ReadIndex(packed, core.UnpackOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = bodies[:0]
+			for _, ch := range ix.Chunks {
+				bodies = append(bodies, packed[ch.Off:ch.Off+ch.Len])
+			}
+		}
+		payload := 0
+		for _, body := range bodies {
+			secs, err := streams.Sections(body, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range secs {
+				payload += int(sec.Len)
+			}
+		}
+		if got := s.Strings + s.Opcodes + s.Ints + s.Refs + s.Misc; got != payload {
+			t.Fatalf("ChunkClasses %d: Stats add up to %d bytes, the archive holds %d bytes of stream payload",
+				chunk, got, payload)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -67,20 +68,20 @@ func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile
 	if data[4] == Version3 {
 		return UnpackReader(bytes.NewReader(data), o, visit)
 	}
-	_, err = DecodeChunk(opts, data[6:], data[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
+	_, err = DecodeBody(opts, data[6:], data[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
 		return visit(cf)
 	})
 	return err
 }
 
-// DecodeChunk decodes one container body — a version-3 chunk, or the
-// whole body of a version-1/2 archive — invoking visit with each class
-// and its ordinal within the body. checked selects the container layout
+// DecodeBody decodes one container body — the whole body of a
+// version-1/2 archive, or one version-3 chunk — invoking visit with each
+// class and its ordinal within the body. checked selects the container layout
 // (true for every version-3 chunk and version-2 body). It returns the
 // decoded wire-stream bytes the body expanded to, which is what
 // MaxDecodedBytes budgets; callers decoding several chunks charge a
 // shared budget by shrinking o.MaxDecodedBytes as they go.
-func DecodeChunk(opts Options, body []byte, checked bool, o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int64, error) {
+func DecodeBody(opts Options, body []byte, checked bool, o UnpackOpts, visit func(ord int, cf *classfile.ClassFile) error) (int64, error) {
 	var r *streams.Reader
 	var err error
 	if checked {
@@ -112,7 +113,7 @@ func (u *unpacker) classes(o UnpackOpts, visit func(ord int, cf *classfile.Class
 	if err != nil {
 		return -1, -1, fmt.Errorf("core: class count: %w", err)
 	}
-	if maxClasses := effectiveMaxClasses(o); count > uint64(maxClasses) {
+	if maxClasses := EffectiveMaxClasses(o); count > uint64(maxClasses) {
 		return -1, -1, corrupt.TooLarge(sMeta, -1, "class count %d exceeds cap %d", count, maxClasses)
 	}
 	n := int(count)
@@ -429,8 +430,7 @@ func (u *unpacker) readF32() (float32, error) {
 	if err != nil {
 		return 0, err
 	}
-	bits := uint32(raw[0])<<24 | uint32(raw[1])<<16 | uint32(raw[2])<<8 | uint32(raw[3])
-	return math.Float32frombits(bits), nil
+	return math.Float32frombits(binary.BigEndian.Uint32(raw)), nil
 }
 
 func (u *unpacker) readF64() (float64, error) {
@@ -438,9 +438,5 @@ func (u *unpacker) readF64() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var bits uint64
-	for _, b := range raw {
-		bits = bits<<8 | uint64(b)
-	}
-	return math.Float64frombits(bits), nil
+	return math.Float64frombits(binary.BigEndian.Uint64(raw)), nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"classpack/internal/bytecode"
@@ -9,22 +12,32 @@ import (
 	"classpack/internal/ir"
 	"classpack/internal/refs"
 	"classpack/internal/stackstate"
+	"classpack/internal/streams"
 )
 
 // Pack encodes a collection of classfiles into a packed archive. With
 // Options.ChunkClasses zero it emits the monolithic version-2 layout,
 // whose stream container carries per-stream and whole-container CRC32C
 // checksums; a positive ChunkClasses selects the chunked, random-access
-// version 3. The classfiles must already be canonicalized with
-// strip.Apply (debugging and unrecognized attributes removed); decoding
-// reproduces them byte-for-byte either way. Version 1 stays readable but
-// is no longer written.
+// version 3, written by PackStream over the slice. The classfiles must
+// already be canonicalized with strip.Apply (debugging and unrecognized
+// attributes removed); decoding reproduces them byte-for-byte either
+// way. Version 1 stays readable but is no longer written.
 func Pack(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	if !opts.Scheme.Decodable() {
 		return nil, fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
 	}
 	if opts.ChunkClasses > 0 {
-		return packV3(cfs, opts)
+		var buf bytes.Buffer
+		i := 0
+		err := PackStream(&buf, func() (*classfile.ClassFile, error) {
+			if i == len(cfs) {
+				return nil, io.EOF
+			}
+			i++
+			return cfs[i-1], nil
+		}, opts)
+		return buf.Bytes(), err
 	}
 	body, err := encodeMonolith(cfs, opts)
 	if err != nil {
@@ -36,12 +49,10 @@ func Pack(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	return append(out, body...), nil
 }
 
-// encodeMonolith runs the two-pass encoder over the whole collection and
-// serializes the streams as one checked container body (no archive
-// header).
-func encodeMonolith(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
-	// Pass 1 counts occurrences per pool so transient objects (§5.1.5)
-	// are known in advance; pass 2 emits.
+// encodeStreams runs the two-pass encoder over cfs and returns the
+// filled streams. Pass 1 counts occurrences per pool so transient
+// objects (§5.1.5) are known in advance; pass 2 emits.
+func encodeStreams(cfs []*classfile.ClassFile, opts Options) (*streams.Writer, error) {
 	counter := newCountingPacker(opts)
 	if opts.Preload {
 		preloadPacker(counter)
@@ -56,27 +67,43 @@ func encodeMonolith(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
 	if err := emitter.archive(cfs); err != nil {
 		return nil, err
 	}
-	return emitter.w.FinishChecked(opts.Compress, opts.Concurrency)
+	return emitter.w, nil
 }
 
-// PackStats reports per-stream sizes for the archive that Pack would
-// produce; the Table 6 breakdown derives from it.
+// encodeMonolith encodes the whole collection and serializes the
+// streams as one checked container body (no archive header): the
+// version-2 body, or one version-3 chunk.
+func encodeMonolith(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
+	w, err := encodeStreams(cfs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return w.FinishChecked(opts.Compress, opts.Concurrency)
+}
+
+// PackStats reports per-stream raw and encoded sizes for the archive
+// that Pack would produce, summed over its chunks when ChunkClasses is
+// positive; the Table 6 breakdown derives from it.
 func PackStats(cfs []*classfile.ClassFile, opts Options) (map[string][2]int, error) {
-	counter := newCountingPacker(opts)
-	if opts.Preload {
-		preloadPacker(counter)
+	chunks := [][]*classfile.ClassFile{cfs}
+	if n := opts.ChunkClasses; n > 0 {
+		chunks = chunks[:0]
+		for start := 0; start < len(cfs); start += n {
+			chunks = append(chunks, cfs[start:min(start+n, len(cfs))])
+		}
 	}
-	if err := counter.archive(cfs); err != nil {
-		return nil, err
+	sizes := make(map[string][2]int)
+	for _, chunk := range chunks {
+		w, err := encodeStreams(chunk, opts)
+		if err != nil {
+			return nil, err
+		}
+		for name, sz := range w.Sizes(opts.Compress, opts.Concurrency) {
+			sum := sizes[name]
+			sizes[name] = [2]int{sum[0] + sz[0], sum[1] + sz[1]}
+		}
 	}
-	emitter := newEmittingPacker(opts, counter.counts, counter.keys)
-	if opts.Preload {
-		preloadPacker(emitter)
-	}
-	if err := emitter.archive(cfs); err != nil {
-		return nil, err
-	}
-	return emitter.w.SizesN(opts.Compress, opts.Concurrency), nil
+	return sizes, nil
 }
 
 // Traces records the reference event stream of every pool in encode order
@@ -305,25 +332,13 @@ func constKindForType(t classfile.Type) classfile.ConstKind {
 }
 
 func (p *packer) writeF32(v float32) {
-	bits := math.Float32bits(v)
-	s := p.st(sFloat)
-	for shift := 24; shift >= 0; shift -= 8 {
-		if err := s.WriteByte(byte(bits >> shift)); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
-	}
+	p.scratch = binary.BigEndian.AppendUint32(p.scratch[:0], math.Float32bits(v))
+	_, _ = p.st(sFloat).Write(p.scratch) // stream writes land in a bytes.Buffer and cannot fail
 }
 
 func (p *packer) writeF64(v float64) {
-	bits := math.Float64bits(v)
-	s := p.st(sDouble)
-	for shift := 56; shift >= 0; shift -= 8 {
-		if err := s.WriteByte(byte(bits >> shift)); err != nil {
-			//classpack:vet-allow nopanic stream writes land in a bytes.Buffer and cannot fail
-			panic(err)
-		}
-	}
+	p.scratch = binary.BigEndian.AppendUint64(p.scratch[:0], math.Float64bits(v))
+	_, _ = p.st(sDouble).Write(p.scratch)
 }
 
 func (p *packer) method(cf *classfile.ClassFile, m *classfile.Member) error {

@@ -57,10 +57,11 @@ type Options struct {
 	// JDK names and references (the §14 extension). The flag travels in
 	// the archive header; both sides must know the same table.
 	Preload bool
-	// Concurrency bounds the workers used for parallel stream
-	// compression (0 = all cores, 1 = serial). It is a local performance
-	// knob only: it does not travel in the archive header and never
-	// changes the packed bytes.
+	// Concurrency bounds the encoder's workers (0 = all cores, 1 =
+	// serial): they trial-code the streams of a version-2 body, or
+	// encode the chunks of a version-3 archive, one chunk per worker. It
+	// is a local performance knob only: it does not travel in the
+	// archive header and never changes the packed bytes.
 	Concurrency int
 	// ChunkClasses selects the version-3 chunked layout: a positive
 	// value groups that many classes per chunk, each chunk encoded from

@@ -139,7 +139,7 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 	if ixErr != nil {
 		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
 	}
-	maxClasses := effectiveMaxClasses(o)
+	maxClasses := EffectiveMaxClasses(o)
 	w := newChunkWalker(bufio.NewReader(bytes.NewReader(data[6:])), o)
 	declaredSum := 0
 	for {

@@ -26,6 +26,8 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -130,105 +132,21 @@ func (ix *Index) Locate(name string) (chunk, ord int, ok bool) {
 	return chunk, g - ix.starts[chunk], true
 }
 
-// effectiveBudget resolves the decoded-bytes cap.
-func effectiveBudget(o UnpackOpts) int64 {
+// EffectiveBudget resolves the decoded-bytes cap. The delta patch
+// decoder shares the container's limits through it.
+func EffectiveBudget(o UnpackOpts) int64 {
 	if o.MaxDecodedBytes <= 0 {
 		return streams.DefaultMaxDecodedBytes
 	}
 	return o.MaxDecodedBytes
 }
 
-// effectiveMaxClasses resolves the class-count cap.
-func effectiveMaxClasses(o UnpackOpts) int {
+// EffectiveMaxClasses resolves the class-count cap (see EffectiveBudget).
+func EffectiveMaxClasses(o UnpackOpts) int {
 	if o.MaxClassCount <= 0 {
 		return DefaultMaxClassCount
 	}
 	return o.MaxClassCount
-}
-
-// EffectiveBudget resolves the decoded-bytes cap for callers outside
-// the package; the delta patch decoder shares the container's limits.
-func EffectiveBudget(o UnpackOpts) int64 { return effectiveBudget(o) }
-
-// EffectiveMaxClasses resolves the class-count cap (see EffectiveBudget).
-func EffectiveMaxClasses(o UnpackOpts) int { return effectiveMaxClasses(o) }
-
-// packV3 encodes the version-3 layout. Chunks are mutually independent
-// (each starts from reset models), so chunk encoding itself fans out
-// over Options.Concurrency workers; the assembly order is fixed, so the
-// output is byte-identical for every worker count.
-func packV3(cfs []*classfile.ClassFile, opts Options) ([]byte, error) {
-	chunkN := opts.ChunkClasses
-	if chunkN <= 0 {
-		chunkN = DefaultChunkClasses
-	}
-	numChunks := (len(cfs) + chunkN - 1) / chunkN
-	// With several chunks in flight the per-chunk stream trial coding
-	// runs serial — nesting worker pools would oversubscribe — while a
-	// single-chunk archive keeps the full worker budget inside it.
-	inner := opts.Concurrency
-	if numChunks > 1 {
-		inner = 1
-	}
-	bodies := make([][]byte, numChunks)
-	if err := par.Do(opts.Concurrency, numChunks, func(i int) error {
-		copts := opts
-		copts.Concurrency = inner
-		body, err := encodeMonolith(cfs[i*chunkN:min((i+1)*chunkN, len(cfs))], copts)
-		if err != nil {
-			return err
-		}
-		bodies[i] = body
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	total := 6 + 1 + footerSize + 4
-	for _, b := range bodies {
-		total += len(b) + varint.MaxLen64
-	}
-	out := make([]byte, 0, total)
-	out = append(out, Magic[:]...)
-	out = append(out, Version3, encodeOptions(opts))
-	ix := &Index{ChunkClasses: chunkN, Chunks: make([]ChunkInfo, 0, numChunks)}
-	for i, body := range bodies {
-		out = varint.AppendUint(out, uint64(len(body)))
-		ix.Chunks = append(ix.Chunks, ChunkInfo{
-			Off:     int64(len(out)),
-			Len:     int64(len(body)),
-			Classes: min((i+1)*chunkN, len(cfs)) - i*chunkN,
-		})
-		out = append(out, body...)
-	}
-	out = varint.AppendUint(out, 0)
-	ix.Names = make([]string, len(cfs))
-	for i, cf := range cfs {
-		ix.Names[i] = cf.ThisClassName()
-	}
-	blob := encodeIndex(ix)
-	out = append(out, blob...)
-	out = appendCRC32(out, crc32.Checksum(blob, v3CRC))
-	out = appendU64BE(out, uint64(len(blob)))
-	return append(out, indexMagic[:]...), nil
-}
-
-func appendCRC32(out []byte, c uint32) []byte {
-	return append(out, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-}
-
-func appendU64BE(out []byte, v uint64) []byte {
-	return append(out, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func readU32BE(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func readU64BE(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
 // encodeIndex serializes the index and wraps it in the blob framing
@@ -288,7 +206,7 @@ func ReadIndexAt(r io.ReaderAt, size int64, o UnpackOpts) (*Index, error) {
 	if !bytes.Equal(foot[8:12], indexMagic[:]) {
 		return nil, corrupt.Errorf(sFooter, size-4, "bad footer magic %q", foot[8:12])
 	}
-	blobLen := readU64BE(foot[:8])
+	blobLen := binary.BigEndian.Uint64(foot[:8])
 	// The blob sits between the header + at least one sentinel byte and
 	// its own CRC + footer.
 	if blobLen < 2 || blobLen > uint64(size-footerSize-4-7) {
@@ -300,7 +218,7 @@ func ReadIndexAt(r io.ReaderAt, size int64, o UnpackOpts) (*Index, error) {
 		return nil, corrupt.Errorf(sIndex, blobOff, "reading index: %v", err)
 	}
 	blob := buf[:blobLen]
-	if got, want := crc32.Checksum(blob, v3CRC), readU32BE(buf[blobLen:]); got != want {
+	if got, want := crc32.Checksum(blob, v3CRC), binary.BigEndian.Uint32(buf[blobLen:]); got != want {
 		return nil, corrupt.Errorf(sIndex, blobOff, "index checksum %08x, want %08x", got, want)
 	}
 	raw, err := decodeIndexBlob(blob, o)
@@ -324,9 +242,9 @@ func decodeIndexBlob(blob []byte, o UnpackOpts) ([]byte, error) {
 		return nil, corrupt.Errorf(sIndex, 1, "index raw length: %v", err)
 	}
 	payload := blob[1+n:]
-	if rawLen > uint64(effectiveBudget(o)) {
+	if rawLen > uint64(EffectiveBudget(o)) {
 		return nil, corrupt.TooLarge(sIndex, 0,
-			"index declares %d decoded bytes, budget %d", rawLen, effectiveBudget(o))
+			"index declares %d decoded bytes, budget %d", rawLen, EffectiveBudget(o))
 	}
 	switch coding {
 	case idxStore:
@@ -378,7 +296,7 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 		return nil, corrupt.Errorf(sIndex, int64(pos),
 			"implausible chunk count %d for %d index bytes", numChunks, len(raw))
 	}
-	maxClasses := effectiveMaxClasses(o)
+	maxClasses := EffectiveMaxClasses(o)
 	ix := &Index{ChunkClasses: int(chunkClasses), Chunks: make([]ChunkInfo, 0, numChunks)}
 	minOff := int64(7) // header plus at least one length-prefix byte
 	totalClasses := 0
@@ -439,12 +357,21 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 	return ix, nil
 }
 
+// errInputEnd stops PackStream's chunk pipeline once next has reported
+// io.EOF.
+var errInputEnd = errors.New("core: end of input")
+
 // PackStream encodes classfiles supplied one at a time by next (which
-// signals the end with io.EOF) into a version-3 archive written to w,
-// holding at most one chunk of classes in memory — the streaming
-// counterpart of Pack for inputs too large to materialize. The output
-// is byte-identical to Pack of the same classfiles with the same
-// ChunkClasses, for every Concurrency value.
+// signals the end with io.EOF) into a version-3 archive written to w. It
+// is the one writer of the version-3 layout; Pack with a positive
+// ChunkClasses runs it over a slice. Chunks are mutually independent
+// (each starts from reset models), so the classes flow through a
+// pipeline: next fills one chunk at a time, up to Options.Concurrency
+// workers encode chunks, and each body is written in archive order as
+// soon as it and the chunks before it are done. At most workers + 1
+// chunks are held in memory — one at Concurrency 1 — and the output is
+// byte-identical for every Concurrency value. An error from next or w
+// is returned as it is.
 func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Options) error {
 	if !opts.Scheme.Decodable() {
 		return fmt.Errorf("core: scheme %v has no decoder", opts.Scheme)
@@ -457,59 +384,76 @@ func PackStream(w io.Writer, next func() (*classfile.ClassFile, error), opts Opt
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	ix := &Index{ChunkClasses: chunkN}
-	pos := int64(6)
-	var scratch []byte
-	buf := make([]*classfile.ClassFile, 0, chunkN)
-	flush := func() error {
-		body, err := encodeMonolith(buf, opts)
-		if err != nil {
-			return err
-		}
-		scratch = varint.AppendUint(scratch[:0], uint64(len(body)))
-		if _, err := w.Write(scratch); err != nil {
-			return err
-		}
-		pos += int64(len(scratch))
-		ix.Chunks = append(ix.Chunks, ChunkInfo{Off: pos, Len: int64(len(body)), Classes: len(buf)})
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-		pos += int64(len(body))
-		for _, cf := range buf {
-			ix.Names = append(ix.Names, cf.ThisClassName())
-		}
-		buf = buf[:0]
-		return nil
+	type chunk struct {
+		cfs         []*classfile.ClassFile
+		body        []byte
+		concurrency int // workers for the chunk's stream trial coding
 	}
-	for {
-		cf, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	ix := &Index{ChunkClasses: chunkN}
+	pos := int64(len(hdr))
+	var prefix []byte
+	eof := false
+	_, err := par.Pipeline(opts.Concurrency, math.MaxInt,
+		func() *chunk { return new(chunk) },
+		func(i int, c *chunk) error {
+			c.cfs = c.cfs[:0]
+			for len(c.cfs) < chunkN && !eof {
+				cf, err := next()
+				if err == io.EOF {
+					eof = true
+					break
+				}
+				if err != nil {
+					return err
+				}
+				c.cfs = append(c.cfs, cf)
+			}
+			if len(c.cfs) == 0 {
+				return errInputEnd
+			}
+			// With several chunks in flight each chunk's trial coding
+			// runs serially, since nesting worker pools would
+			// oversubscribe; an archive whose input ends inside its
+			// first chunk keeps the full worker budget inside it.
+			c.concurrency = 1
+			if i == 0 && eof {
+				c.concurrency = opts.Concurrency
+			}
+			return nil
+		},
+		func(_, _ int, c *chunk) error {
+			copts := opts
+			copts.Concurrency = c.concurrency
+			var err error
+			c.body, err = encodeMonolith(c.cfs, copts)
 			return err
-		}
-		buf = append(buf, cf)
-		if len(buf) == chunkN {
-			if err := flush(); err != nil {
+		},
+		func(_ int, c *chunk) error {
+			prefix = varint.AppendUint(prefix[:0], uint64(len(c.body)))
+			if _, err := w.Write(prefix); err != nil {
 				return err
 			}
-		}
+			pos += int64(len(prefix))
+			ix.Chunks = append(ix.Chunks, ChunkInfo{Off: pos, Len: int64(len(c.body)), Classes: len(c.cfs)})
+			if _, err := w.Write(c.body); err != nil {
+				return err
+			}
+			pos += int64(len(c.body))
+			for _, cf := range c.cfs {
+				ix.Names = append(ix.Names, cf.ThisClassName())
+			}
+			return nil
+		})
+	if err != errInputEnd {
+		return err
 	}
-	if len(buf) > 0 {
-		if err := flush(); err != nil {
-			return err
-		}
-	}
-	var tail []byte
-	tail = varint.AppendUint(tail, 0)
+	tail := varint.AppendUint(nil, 0)
 	blob := encodeIndex(ix)
 	tail = append(tail, blob...)
-	tail = appendCRC32(tail, crc32.Checksum(blob, v3CRC))
-	tail = appendU64BE(tail, uint64(len(blob)))
+	tail = binary.BigEndian.AppendUint32(tail, crc32.Checksum(blob, v3CRC))
+	tail = binary.BigEndian.AppendUint64(tail, uint64(len(blob)))
 	tail = append(tail, indexMagic[:]...)
-	_, err := w.Write(tail)
+	_, err = w.Write(tail)
 	return err
 }
 
@@ -533,11 +477,11 @@ func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) er
 		return err
 	}
 	if hdr[4] != Version3 {
-		body, err := readAtMost(br, effectiveBudget(o)+BodySlack, sHeader, 6)
+		body, err := readAtMost(br, EffectiveBudget(o)+BodySlack, sHeader, 6)
 		if err != nil {
 			return err
 		}
-		_, err = DecodeChunk(opts, body, hdr[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
+		_, err = DecodeBody(opts, body, hdr[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
 			return visit(cf)
 		})
 		return err
@@ -554,7 +498,7 @@ func UnpackReader(r io.Reader, o UnpackOpts, visit func(*classfile.ClassFile) er
 		}
 		count := 0
 		var visitErr error
-		db, err := DecodeChunk(opts, body, true, co, func(_ int, cf *classfile.ClassFile) error {
+		db, err := DecodeBody(opts, body, true, co, func(_ int, cf *classfile.ClassFile) error {
 			count++
 			names = append(names, cf.ThisClassName())
 			visitErr = visit(cf)
@@ -588,7 +532,7 @@ type chunkWalker struct {
 // newChunkWalker starts a walk at the first chunk of br, which has
 // already consumed the 6-byte archive header.
 func newChunkWalker(br *bufio.Reader, o UnpackOpts) *chunkWalker {
-	return &chunkWalker{br: br, o: o, pos: 6, budget: effectiveBudget(o), maxClasses: effectiveMaxClasses(o)}
+	return &chunkWalker{br: br, o: o, pos: 6, budget: EffectiveBudget(o), maxClasses: EffectiveMaxClasses(o)}
 }
 
 // next reads the next chunk's length prefix and body, and returns the
@@ -638,7 +582,7 @@ func (w *chunkWalker) charge(decoded int64, classes int) {
 // checks it against the walk: the index must list exactly the chunks the
 // framing held, and names, the classes decoded in archive order.
 func (w *chunkWalker) verifyIndex(names []string) error {
-	tail, err := readAtMost(w.br, effectiveBudget(w.o)+BodySlack+footerSize+4, sIndex, w.pos)
+	tail, err := readAtMost(w.br, EffectiveBudget(w.o)+BodySlack+footerSize+4, sIndex, w.pos)
 	if err != nil {
 		return err
 	}

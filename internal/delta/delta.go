@@ -31,6 +31,7 @@ package delta
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"hash/crc32"
 	"math"
 
@@ -106,8 +107,7 @@ func (p *Patch) Encode() []byte {
 	}
 	out = varint.AppendUint(out, uint64(len(p.Payload)))
 	out = append(out, p.Payload...)
-	c := crc32.Checksum(out, crcTable)
-	return append(out, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
 // Parse decodes and validates a CJPD patch. maxOps caps the class count
@@ -125,8 +125,7 @@ func Parse(data []byte, maxOps int) (*Patch, error) {
 	}
 	// Verify the whole-patch checksum before trusting any field.
 	body := data[:len(data)-4]
-	want := uint32(data[len(data)-4])<<24 | uint32(data[len(data)-3])<<16 |
-		uint32(data[len(data)-2])<<8 | uint32(data[len(data)-1])
+	want := binary.BigEndian.Uint32(data[len(data)-4:])
 	if got := crc32.Checksum(body, crcTable); got != want {
 		return nil, corrupt.Errorf(sPatch, int64(len(body)), "patch checksum %08x, want %08x", got, want)
 	}

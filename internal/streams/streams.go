@@ -32,6 +32,7 @@ package streams
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"sort"
 
@@ -47,16 +48,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // crcSize is the width of each checksum in the checked layout.
 const crcSize = 4
-
-// appendCRC appends a big-endian CRC32C.
-func appendCRC(out []byte, c uint32) []byte {
-	return append(out, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-}
-
-// readCRC decodes a big-endian CRC32C.
-func readCRC(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
 
 // Stream coding identifiers (the per-stream flag byte).
 const (
@@ -150,20 +141,15 @@ func (w *Writer) FinishChecked(compress bool, concurrency int) ([]byte, error) {
 		out = append(out, encs[i].coding)
 		out = varint.AppendUint(out, uint64(len(encs[i].payload)))
 		out = append(out, encs[i].payload...)
-		out = appendCRC(out, crc32.Checksum(encs[i].payload, castagnoli))
+		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(encs[i].payload, castagnoli))
 	}
-	return appendCRC(out, crc32.Checksum(out, castagnoli)), nil
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out, castagnoli)), nil
 }
 
 // Sizes reports per-stream raw and encoded sizes as they would serialize
-// with the given compression setting. It is SizesN with one worker.
-func (w *Writer) Sizes(compress bool) map[string][2]int {
-	return w.SizesN(compress, 1)
-}
-
-// SizesN is Sizes with the trial codings run on up to concurrency
-// workers (<= 0 meaning all cores).
-func (w *Writer) SizesN(compress bool, concurrency int) map[string][2]int {
+// with the given compression setting, running the trial codings on up
+// to concurrency workers (<= 0 meaning all cores).
+func (w *Writer) Sizes(compress bool, concurrency int) map[string][2]int {
 	names := append([]string(nil), w.order...)
 	encoded := make([]int, len(names))
 	_ = par.Do(concurrency, len(names), func(i int) error {
@@ -291,7 +277,7 @@ func checkTrailer(data []byte) ([]byte, error) {
 	}
 	body := data[:len(data)-crcSize]
 	got := crc32.Checksum(body, castagnoli)
-	if want := readCRC(data[len(body):]); got != want {
+	if want := binary.BigEndian.Uint32(data[len(body):]); got != want {
 		return nil, corrupt.Errorf(trailerStream, int64(len(body)),
 			"container checksum %08x, want %08x", got, want)
 	}
@@ -372,7 +358,7 @@ func walkEntries(body []byte, maxDecoded int64, checked bool, damage *[]*corrupt
 			if len(body)-pos < crcSize {
 				return entries, fail(corrupt.Errorf(containerStream, int64(pos), "%s: missing payload checksum", name))
 			}
-			want := readCRC(body[pos:])
+			want := binary.BigEndian.Uint32(body[pos:])
 			pos += crcSize
 			if got := crc32.Checksum(payload, castagnoli); got != want {
 				ce := corrupt.Errorf(name, payloadOff, "payload checksum %08x, want %08x", got, want)
@@ -423,7 +409,7 @@ func NewSalvageReader(data []byte, concurrency int, maxDecoded int64, checked bo
 		} else {
 			body = data[:len(data)-crcSize]
 			got := crc32.Checksum(body, castagnoli)
-			if want := readCRC(data[len(body):]); got != want {
+			if want := binary.BigEndian.Uint32(data[len(body):]); got != want {
 				damage = append(damage, corrupt.Errorf(trailerStream, int64(len(body)),
 					"container checksum %08x, want %08x", got, want))
 			}

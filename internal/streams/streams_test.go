@@ -118,7 +118,7 @@ func TestSizes(t *testing.T) {
 	w := NewWriter()
 	w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
 	w.Stream("b").Write([]byte{1, 2, 3})
-	sizes := w.Sizes(true)
+	sizes := w.Sizes(true, 1)
 	if sizes["a"][0] != 1000 || sizes["a"][1] >= 1000 {
 		t.Fatalf("sizes[a] = %v", sizes["a"])
 	}
@@ -225,20 +225,20 @@ func TestFinishNDeterministicAcrossConcurrency(t *testing.T) {
 	}
 }
 
-func TestSizesNMatchesSerial(t *testing.T) {
+func TestSizesMatchesSerial(t *testing.T) {
 	w := NewWriter()
 	w.Stream("a").Write([]byte(strings.Repeat("x", 1000)))
 	w.Stream("b").Write([]byte{1, 2, 3})
 	w.Stream("c").Write(bytes.Repeat([]byte{7, 8}, 900))
-	serial := w.Sizes(true)
+	serial := w.Sizes(true, 1)
 	for _, j := range []int{2, 0} {
-		got := w.SizesN(true, j)
+		got := w.Sizes(true, j)
 		if len(got) != len(serial) {
-			t.Fatalf("SizesN(j=%d) has %d entries, want %d", j, len(got), len(serial))
+			t.Fatalf("Sizes(j=%d) has %d entries, want %d", j, len(got), len(serial))
 		}
 		for name, v := range serial {
 			if got[name] != v {
-				t.Fatalf("SizesN(j=%d)[%s] = %v, want %v", j, name, got[name], v)
+				t.Fatalf("Sizes(j=%d)[%s] = %v, want %v", j, name, got[name], v)
 			}
 		}
 	}

@@ -176,7 +176,7 @@ func OpenArchiveBytes(data []byte, opts *Options) (*Archive, error) {
 // and reports the decoded wire-stream bytes.
 func decodeFiles(copts core.Options, body []byte, checked bool, uo core.UnpackOpts) ([]File, int64, error) {
 	var files []File
-	decoded, err := core.DecodeChunk(copts, body, checked, uo, func(_ int, cf *classfile.ClassFile) error {
+	decoded, err := core.DecodeBody(copts, body, checked, uo, func(_ int, cf *classfile.ClassFile) error {
 		f, err := fileOf(cf)
 		if err != nil {
 			return err
@@ -438,19 +438,18 @@ func (a *Archive) SelectOrdinals(patterns ...string) ([]int, error) {
 }
 
 // PackStream packs class files supplied one at a time by next — which
-// returns io.EOF to finish — writing a version-3 archive to w while
-// holding at most one chunk of classes in memory. It is the streaming
-// counterpart of Pack for inputs too large to materialize; the output
-// is byte-identical to Pack of the same files with the same
-// ChunkClasses. A nil opts (or ChunkClasses <= 0) chunks every 64
-// classes.
+// returns io.EOF to finish — writing a version-3 archive to w. It is the
+// streaming counterpart of Pack for inputs too large to materialize, and
+// the same writer: the output is byte-identical to Pack of the same
+// files with the same ChunkClasses. Files are parsed as next returns
+// them, and chunks are encoded on up to Concurrency workers and written
+// in order, so at most workers + 1 chunks are held in memory — one at
+// Concurrency 1. A nil opts (or ChunkClasses <= 0) chunks every 64
+// classes. An error from next or w is returned as it is.
 func PackStream(w io.Writer, next func() ([]byte, error), opts *Options) error {
 	c := opts.core()
 	if err := checkConcurrency(c.Concurrency); err != nil {
 		return err
-	}
-	if c.ChunkClasses <= 0 {
-		c.ChunkClasses = core.DefaultChunkClasses
 	}
 	var scratch strip.Scratch
 	i := 0
