@@ -108,8 +108,9 @@ func TestPackJarRoundTripNonClassEntries(t *testing.T) {
 		{Name: "res/logo.png", Data: bytes.Repeat([]byte{7}, 64)},
 	}
 	// Interleave a resource between classes so order assertions are real.
-	mixed := append([]archive.File{nonClass[0]}, members...)
-	mixed = append(mixed, nonClass[1], nonClass[2])
+	// A directory entry is neither a class nor a skipped member.
+	mixed := append([]archive.File{{Name: "META-INF/"}, nonClass[0]}, members...)
+	mixed = append(mixed, archive.File{Name: "res/"}, nonClass[1], nonClass[2])
 	jar, err := archive.WriteJar(mixed)
 	if err != nil {
 		t.Fatal(err)

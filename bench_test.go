@@ -1,6 +1,7 @@
 package classpack
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -130,7 +131,7 @@ func BenchmarkUnpack(b *testing.B) {
 	b.SetBytes(int64(len(packed)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(*classfile.ClassFile) error { return nil })
+		err := core.UnpackReader(bytes.NewReader(packed), core.UnpackOpts{}, func(*classfile.ClassFile) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"classpack/internal/core"
 	"classpack/internal/encoding/varint"
+	"classpack/internal/faultinject"
 )
 
 // bombArchive builds a syntactically valid archive at the given wire
@@ -67,6 +68,27 @@ func TestDecompressionBombFailsFast(t *testing.T) {
 		if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
 			t.Fatalf("v%d: rejecting the bomb allocated %d bytes", version, delta)
 		}
+	}
+}
+
+// TestPackJarBomb pins the jar-intake cap: a ~256 KB jar whose one
+// class member inflates to 256 MiB is refused against MaxDecodedBytes
+// with ErrTooLarge, having inflated no more than the budget.
+func TestPackJarBomb(t *testing.T) {
+	jar := faultinject.JarBomb("Bomb.class", 256)
+	opts := DefaultOptions()
+	opts.MaxDecodedBytes = 1 << 20
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := PackJar(jar, &opts)
+	runtime.ReadMemStats(&after)
+
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("PackJar(%d-byte bomb) = %v, want ErrTooLarge", len(jar), err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 8<<20 {
+		t.Fatalf("refusing the jar bomb allocated %d bytes", delta)
 	}
 }
 

@@ -26,6 +26,7 @@
 package classpack
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -116,7 +117,9 @@ type Options struct {
 	// each stream's declared size before anything is inflated or
 	// allocated, so a small archive claiming a huge payload fails in
 	// time and memory proportional to the archive itself, with an error
-	// wrapping ErrTooLarge. Decode-side only; ignored by Pack.
+	// wrapping ErrTooLarge. On the pack side it caps how far PackJar
+	// inflates a jar's class members, with the same error; Pack and
+	// PackStream ignore it.
 	MaxDecodedBytes int64
 	// MaxClassCount caps the number of classes unpacking will
 	// materialize (0 = 1<<20). Decode-side only; ignored by Pack.
@@ -238,7 +241,7 @@ func UnpackOpts(data []byte, opts *Options) ([]File, error) {
 		return nil, err
 	}
 	var cfs []*classfile.ClassFile
-	err := core.UnpackStreamOpts(data, o, func(cf *classfile.ClassFile) error {
+	err := core.UnpackReader(bytes.NewReader(data), o, func(cf *classfile.ClassFile) error {
 		cfs = append(cfs, cf)
 		return nil
 	})
@@ -436,19 +439,18 @@ func VerifyBytecode(data []byte) ([]MethodVerdict, error) {
 
 // PackJar packs every ".class" member of a jar (zip) archive, skipping
 // other members, whose names are returned (§12: non-class files travel in
-// a conventional jar alongside the packed archive).
+// a conventional jar alongside the packed archive); directory entries
+// are neither packed nor reported. The class members may inflate to at
+// most MaxDecodedBytes in total: a jar that expands past it fails with
+// an error wrapping ErrTooLarge before the rest is inflated.
 func PackJar(jarData []byte, opts *Options) (packed []byte, skipped []string, err error) {
-	members, err := archive.ReadJar(jarData)
+	members, skipped, err := archive.ReadJarClasses(jarData, core.EffectiveBudget(opts.unpackOpts()))
 	if err != nil {
 		return nil, nil, err
 	}
-	var files [][]byte
-	for _, m := range members {
-		if len(m.Name) > 6 && m.Name[len(m.Name)-6:] == ".class" {
-			files = append(files, m.Data)
-		} else {
-			skipped = append(skipped, m.Name)
-		}
+	files := make([][]byte, len(members))
+	for i, m := range members {
+		files[i] = m.Data
 	}
 	packed, err = Pack(files, opts)
 	return packed, skipped, err

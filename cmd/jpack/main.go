@@ -15,11 +15,9 @@
 package main
 
 import (
-	"archive/zip"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,6 +27,7 @@ import (
 	"time"
 
 	"classpack"
+	"classpack/internal/archive"
 	"classpack/internal/classfile"
 	"classpack/internal/core"
 	"classpack/internal/dump"
@@ -329,45 +328,19 @@ func loadNamedClassInputs(paths []string) ([]classInput, []string, error) {
 			return nil, nil, err
 		}
 		if strings.HasSuffix(path, ".jar") || strings.HasSuffix(path, ".zip") {
-			members, skip, err := jarClasses(data)
+			// jpack has no decode-budget flag, so a jar's classes may
+			// inflate to the default budget.
+			members, skip, err := archive.ReadJarClasses(data, core.EffectiveBudget(core.UnpackOpts{}))
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s: %w", path, err)
 			}
 			for _, m := range members {
-				classes = append(classes, classInput{path + "!" + m.name, m.data})
+				classes = append(classes, classInput{path + "!" + m.Name, m.Data})
 			}
 			skipped = append(skipped, skip...)
 			continue
 		}
 		classes = append(classes, classInput{path, data})
-	}
-	return classes, skipped, nil
-}
-
-func jarClasses(jar []byte) ([]classInput, []string, error) {
-	zr, err := zip.NewReader(bytes.NewReader(jar), int64(len(jar)))
-	if err != nil {
-		return nil, nil, err
-	}
-	var classes []classInput
-	var skipped []string
-	for _, zf := range zr.File {
-		if !strings.HasSuffix(zf.Name, ".class") {
-			if !strings.HasSuffix(zf.Name, "/") {
-				skipped = append(skipped, zf.Name)
-			}
-			continue
-		}
-		r, err := zf.Open()
-		if err != nil {
-			return nil, nil, err
-		}
-		data, err := io.ReadAll(r)
-		r.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-		classes = append(classes, classInput{zf.Name, data})
 	}
 	return classes, skipped, nil
 }

@@ -74,7 +74,7 @@ func run(args []string) error {
 		noSS       = fs.Bool("no-stackstate", false, "disable §7.1 stack-state coding")
 		noGz       = fs.Bool("no-gzip", false, "disable per-stream DEFLATE")
 		preload    = fs.Bool("preload", false, "seed reference pools with the standard table")
-		maxDecoded = fs.Int64("max-decoded-bytes", 0, "decoded-size cap per /unpack request (0 = 1 GiB default)")
+		maxDecoded = fs.Int64("max-decoded-bytes", 0, "decoded-size cap per /unpack request, and inflated-class cap per /pack or /verify jar (0 = 1 GiB default)")
 		maxClasses = fs.Int("max-classes", 0, "class-count cap per /unpack request (0 = 1<<20 default)")
 		pprofOn    = fs.Bool("pprof", false, "expose the runtime profiler on GET /debug/pprof/ (trusted operators only)")
 		smoke      = fs.Bool("smoke", false, "start on a loopback port, pack a synthetic corpus through the client, check the digest round-trip, and exit")

@@ -62,9 +62,10 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 
 	// Chunk-level shortcut: a new chunk whose body bytes equal an old
 	// chunk's maps all its classes positionally — identical bytes decode
-	// to identical classes — without decoding either side.
+	// to identical classes — without decoding either side. Only
+	// version-3 archives have chunks to compare.
 	usedOld := make(map[int]bool)
-	if oldA.ix != nil && newA.ix != nil {
+	if oldA.version == core.Version3 && newA.version == core.Version3 {
 		oldByHash := make(map[[sha256.Size]byte]int, len(oldA.ix.Chunks))
 		for ci := len(oldA.ix.Chunks) - 1; ci >= 0; ci-- { // first occurrence wins
 			ch := oldA.ix.Chunks[ci]
@@ -97,19 +98,13 @@ func diffArchives(oldA, newA *Archive, oldArchive, newArchive []byte, opts *Opti
 	if len(newOrds) > 0 {
 		byDigest := make(map[[sha256.Size]byte]int)
 		var oldOrds []int
-		if oldA.ix != nil {
-			for ci, ch := range oldA.ix.Chunks {
-				if usedOld[ci] {
-					continue
-				}
-				start := oldA.ix.Start(ci)
-				for i := 0; i < ch.Classes; i++ {
-					oldOrds = append(oldOrds, start+i)
-				}
+		for ci, ch := range oldA.ix.Chunks {
+			if usedOld[ci] {
+				continue
 			}
-		} else {
-			for g := 0; g < oldA.NumClasses(); g++ {
-				oldOrds = append(oldOrds, g)
+			start := oldA.ix.Start(ci)
+			for i := 0; i < ch.Classes; i++ {
+				oldOrds = append(oldOrds, start+i)
 			}
 		}
 		oldFiles, err := oldA.ExtractOrdinals(oldOrds)

@@ -13,7 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 	"sync"
+
+	"classpack/internal/corrupt"
 )
 
 // File is one archive member.
@@ -181,18 +185,63 @@ func ReadJar(data []byte) ([]File, error) {
 	}
 	var out []File
 	for _, zf := range zr.File {
-		r, err := zf.Open()
+		payload, err := readMember(zf, math.MaxInt64-1)
 		if err != nil {
-			return nil, fmt.Errorf("archive: %s: %w", zf.Name, err)
-		}
-		payload, err := io.ReadAll(r)
-		r.Close()
-		if err != nil {
-			return nil, fmt.Errorf("archive: %s: %w", zf.Name, err)
+			return nil, err
 		}
 		out = append(out, File{Name: zf.Name, Data: payload})
 	}
 	return out, nil
+}
+
+// ReadJarClasses splits a jar into its class members (names ending in
+// ".class"), in jar order, and the names of its other members.
+// Directory entries (names ending in "/") are neither. Only class
+// members are inflated, and their total inflated size is capped at
+// budget bytes: a jar whose classes inflate past it fails with an error
+// wrapping corrupt.ErrTooLarge, having buffered at most budget+1 bytes
+// of them, however much the members claim to expand to.
+func ReadJarClasses(data []byte, budget int64) (classes []File, skipped []string, err error) {
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, nil, err
+	}
+	left := budget
+	for _, zf := range zr.File {
+		switch {
+		case strings.HasSuffix(zf.Name, "/"): // a directory entry
+		case strings.HasSuffix(zf.Name, ".class"):
+			payload, err := readMember(zf, left)
+			if err != nil {
+				return nil, nil, err
+			}
+			left -= int64(len(payload))
+			classes = append(classes, File{Name: zf.Name, Data: payload})
+		default:
+			skipped = append(skipped, zf.Name)
+		}
+	}
+	return classes, skipped, nil
+}
+
+// readMember inflates one zip member, failing with an error wrapping
+// corrupt.ErrTooLarge as soon as it exceeds limit bytes (limit <
+// math.MaxInt64).
+func readMember(zf *zip.File, limit int64) ([]byte, error) {
+	r, err := zf.Open()
+	if err != nil {
+		return nil, fmt.Errorf("archive: %s: %w", zf.Name, err)
+	}
+	defer r.Close()
+	payload, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("archive: %s: %w", zf.Name, err)
+	}
+	if int64(len(payload)) > limit {
+		return nil, fmt.Errorf("archive: %s: %w: jar classes inflate past the decode budget (%d bytes left)",
+			zf.Name, corrupt.ErrTooLarge, limit)
+	}
+	return payload, nil
 }
 
 // ReadJ0rGz is the inverse of WriteJ0rGz.

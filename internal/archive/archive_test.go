@@ -2,9 +2,12 @@ package archive
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"classpack/internal/corrupt"
 )
 
 func sampleFiles() []File {
@@ -129,5 +132,35 @@ func TestReadJarErrors(t *testing.T) {
 	}
 	if _, err := ReadJ0rGz([]byte("not gzip")); err == nil {
 		t.Fatal("ReadJ0rGz accepted junk")
+	}
+}
+
+// TestReadJarClasses pins the jar intake split: class members in jar
+// order, other members' names as skipped, directory entries as
+// neither, and a total inflated size over the budget refused with
+// corrupt.ErrTooLarge.
+func TestReadJarClasses(t *testing.T) {
+	files := sampleFiles()
+	mixed := []File{{Name: "META-INF/"}, {Name: "META-INF/MANIFEST.MF", Data: []byte("v\n")}, files[0], {Name: "p/"}, files[1]}
+	jar, err := WriteJar(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(len(files[0].Data) + len(files[1].Data))
+	classes, skipped, err := ReadJarClasses(jar, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(classes) != 2 || classes[0].Name != files[0].Name || !bytes.Equal(classes[1].Data, files[1].Data) {
+		t.Fatalf("classes = %d members, want %s and %s", len(classes), files[0].Name, files[1].Name)
+	}
+	if len(skipped) != 1 || skipped[0] != "META-INF/MANIFEST.MF" {
+		t.Fatalf("skipped = %q, want [META-INF/MANIFEST.MF]", skipped)
+	}
+	if _, _, err := ReadJarClasses(jar, total-1); !errors.Is(err, corrupt.ErrTooLarge) {
+		t.Fatalf("one byte over budget: err = %v, want ErrTooLarge", err)
+	}
+	if _, _, err := ReadJarClasses([]byte("not a zip"), total); err == nil {
+		t.Fatal("ReadJarClasses accepted junk")
 	}
 }

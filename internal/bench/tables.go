@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -573,7 +574,7 @@ func Table7(scale float64) ([]T7Row, error) {
 		}
 		compSecs := time.Since(start).Seconds()
 		start = time.Now()
-		err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(*classfile.ClassFile) error { return nil })
+		err = core.UnpackReader(bytes.NewReader(packed), core.UnpackOpts{}, func(*classfile.ClassFile) error { return nil })
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 // unpackAll decodes an in-memory archive into its classes.
 func unpackAll(data []byte) ([]*classfile.ClassFile, error) {
 	var out []*classfile.ClassFile
-	err := UnpackStreamOpts(data, UnpackOpts{}, func(cf *classfile.ClassFile) error {
+	err := UnpackReader(bytes.NewReader(data), UnpackOpts{}, func(cf *classfile.ClassFile) error {
 		out = append(out, cf)
 		return nil
 	})

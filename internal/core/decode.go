@@ -49,29 +49,12 @@ type UnpackOpts struct {
 // BodySlack.
 const BodySlack = 1 << 16
 
-// UnpackStreamOpts decodes an in-memory archive, invoking visit as each
-// class becomes complete. The wire format is sequential (§2), so an
-// eager class loader (§11) can define classes as they arrive. A
-// version-1/2 body decodes in place; a version-3 archive goes through
-// the same chunk walker as UnpackReader, so its trailing index is
-// verified after the last class is visited. A visit error aborts
-// decoding and is returned verbatim; any other failure caused by the
-// archive bytes is a *corrupt.Error or wraps one.
+// UnpackStreamOpts is UnpackReader over an in-memory archive.
+//
+// Deprecated: call UnpackReader(bytes.NewReader(data), o, visit). Only
+// the benchmark module still uses this name.
 func UnpackStreamOpts(data []byte, o UnpackOpts, visit func(*classfile.ClassFile) error) error {
-	opts, err := header(data)
-	if err != nil {
-		return err
-	}
-	// The version byte picks the container layout: v1 has no integrity
-	// data, v2 verifies per-stream and trailer CRC32Cs before decoding,
-	// v3 is a sequence of checked chunks plus a trailing class index.
-	if data[4] == Version3 {
-		return UnpackReader(bytes.NewReader(data), o, visit)
-	}
-	_, err = DecodeBody(opts, data[6:], data[4] != Version1, o, func(_ int, cf *classfile.ClassFile) error {
-		return visit(cf)
-	})
-	return err
+	return UnpackReader(bytes.NewReader(data), o, visit)
 }
 
 // DecodeBody decodes one container body — the whole body of a

@@ -24,44 +24,35 @@ type SalvageResult struct {
 	// Classes are the fully decoded classes, in archive order. Within
 	// one container body the wire format is sequential and stateful
 	// (reference pools, per-stream positions), so once one class fails
-	// to decode nothing after it in the same body can be trusted: for
-	// version-1/2 archives Classes is always an intact prefix of the
-	// archive. Version-3 chunks reset all model state, so decoding
-	// resumes at the next chunk boundary and Classes may have gaps —
-	// consult V3Damage for which chunks lost classes.
+	// to decode nothing after it in the same body can be trusted. A
+	// version-1/2 archive is one body, so Classes is an intact prefix of
+	// it. Version-3 chunks reset all model state, so decoding resumes at
+	// the next chunk boundary and Classes may have gaps — consult Damage
+	// for which chunks lost classes.
 	Classes []*classfile.ClassFile
-	// Quarantined lists container-level damage in detection order:
-	// streams whose checksum mismatched or whose payload failed to
-	// decode, trailer damage, and directory damage. A quarantined stream
-	// only costs classes if decoding actually reads it (see Abort).
-	// Version-3 archives report per-chunk damage in V3Damage instead.
-	Quarantined []*corrupt.Error
-	// Abort is the failure that ended class decoding, nil when every
-	// declared class decoded. When decoding first touches a quarantined
-	// stream, Abort is that stream's quarantining error. Unused for
-	// version-3 archives (chunk failures don't end decoding).
-	Abort *corrupt.Error
-	// AbortClass is the index of the class being decoded when Abort hit
-	// (-1 when Abort is nil or the class count itself was unreadable).
-	AbortClass int
-	// V3Damage lists version-3 damage in detection order: per-chunk
-	// quarantines and decode aborts, plus container-level failures
-	// (chunk framing, index, footer) attributed to Chunk == -1.
-	V3Damage []V3Damage
+	// Damage lists everything found damaged, in detection order: per
+	// body, the streams quarantined up front (checksum mismatch,
+	// undecodable payload, trailer and directory damage), then the
+	// failure that ended class decoding; plus version-3 container
+	// damage (chunk framing, index, footer).
+	Damage []Damage
 }
 
-// V3Damage describes one piece of damage found while salvaging a
-// version-3 archive.
-type V3Damage struct {
-	// Chunk is the damaged chunk's index, or -1 for container-level
-	// damage (chunk framing, the class index, the footer).
+// Damage describes one piece of damage found while salvaging an
+// archive.
+type Damage struct {
+	// Chunk is the index of the version-3 chunk the damage lies in, or
+	// -1 for damage outside any chunk: the body of a version-1/2
+	// archive, or version-3 chunk framing, class index or footer.
 	Chunk int
 	// Err is the underlying failure.
 	Err *corrupt.Error
-	// ClassesLost is how many classes this damage cost. Classes that
-	// cannot be attributed to a specific failure (chunks hidden behind
-	// framing damage, chunks whose own class count was unreadable) are
-	// charged to the last damage entry.
+	// ClassesLost is how many classes this damage cost: the failure
+	// that ended decoding is charged with every class of its body from
+	// there on, and a quarantined stream decoding never read costs none.
+	// Classes that cannot be attributed to a specific failure (chunks
+	// hidden behind framing damage, chunks whose own class count was
+	// unreadable) are charged to the last damage entry.
 	ClassesLost int
 }
 
@@ -72,8 +63,29 @@ type chunkSalvage struct {
 	classes     []*classfile.ClassFile
 	quarantined []*corrupt.Error
 	abort       *corrupt.Error // failure that ended decoding, nil if complete
-	abortAt     int            // class index when abort hit, -1 otherwise
 	decoded     int64          // decoded wire-stream bytes (budget charge)
+}
+
+// damage attributes the body's damage to chunk, in detection order:
+// the quarantined streams decoding did not die on, then the failure that
+// ended decoding, charged with every class the body lost. When decoding
+// died on a quarantined stream, that stream's quarantine is the failure
+// and is listed once, last.
+func (cs *chunkSalvage) damage(chunk int) []Damage {
+	var out []Damage
+	for _, q := range cs.quarantined {
+		if q != cs.abort {
+			out = append(out, Damage{Chunk: chunk, Err: q})
+		}
+	}
+	if cs.abort != nil {
+		lost := 0
+		if cs.declared >= 0 {
+			lost = cs.declared - len(cs.classes)
+		}
+		out = append(out, Damage{Chunk: chunk, Err: cs.abort, ClassesLost: lost})
+	}
+	return out
 }
 
 // salvageBody decodes as many classes as possible from one container
@@ -83,7 +95,7 @@ func salvageBody(opts Options, o UnpackOpts, body []byte, checked bool) chunkSal
 	r, quarantined := streams.NewSalvageReader(body, o.Concurrency, o.MaxDecodedBytes, checked)
 	cs := chunkSalvage{quarantined: quarantined, decoded: r.DecodedBytes()}
 	var err error
-	cs.declared, cs.abortAt, err = newUnpacker(opts, r).classes(o,
+	cs.declared, _, err = newUnpacker(opts, r).classes(o,
 		func(_ int, cf *classfile.ClassFile) error {
 			cs.classes = append(cs.classes, cf)
 			return nil
@@ -116,17 +128,12 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 		return salvageV3(data, opts, o), nil
 	}
 	cs := salvageBody(opts, o, data[6:], data[4] != Version1)
-	res := &SalvageResult{
-		Version:     data[4],
-		Classes:     cs.classes,
-		Quarantined: cs.quarantined,
-		Abort:       cs.abort,
-		AbortClass:  cs.abortAt,
-	}
-	if cs.declared >= 0 {
-		res.TotalClasses = cs.declared
-	}
-	return res, nil
+	return &SalvageResult{
+		Version:      data[4],
+		TotalClasses: max(cs.declared, 0),
+		Classes:      cs.classes,
+		Damage:       cs.damage(-1),
+	}, nil
 }
 
 // salvageV3 walks the chunk framing with the chunk walker — the
@@ -134,10 +141,10 @@ func Salvage(data []byte, o UnpackOpts) (*SalvageResult, error) {
 // classes — and salvages each chunk in isolation. The walker charges the
 // shared decoded-bytes budget and class cap per chunk, as Unpack does.
 func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
-	res := &SalvageResult{Version: Version3, AbortClass: -1}
+	res := &SalvageResult{Version: Version3}
 	ix, ixErr := ReadIndex(data, o)
 	if ixErr != nil {
-		res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
+		res.Damage = append(res.Damage, Damage{Chunk: -1, Err: asCorrupt(sIndex, ixErr)})
 	}
 	maxClasses := EffectiveMaxClasses(o)
 	w := newChunkWalker(bufio.NewReader(bytes.NewReader(data[6:])), o)
@@ -145,7 +152,7 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 	for {
 		body, co, err := w.next()
 		if err != nil {
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1, Err: asCorrupt(sChunks, err)})
+			res.Damage = append(res.Damage, Damage{Chunk: -1, Err: asCorrupt(sChunks, err)})
 			break
 		}
 		if body == nil {
@@ -154,22 +161,9 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 		ci := len(w.chunks) - 1
 		cs := salvageBody(opts, co, body, true)
 		w.charge(cs.decoded, len(cs.classes))
-		for _, q := range cs.quarantined {
-			if q != cs.abort {
-				res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: q})
-			}
-		}
+		res.Damage = append(res.Damage, cs.damage(ci)...)
 		res.Classes = append(res.Classes, cs.classes...)
-		if cs.declared >= 0 {
-			declaredSum += cs.declared
-		}
-		if cs.abort != nil {
-			lost := 0
-			if cs.declared >= 0 {
-				lost = cs.declared - len(cs.classes)
-			}
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: ci, Err: cs.abort, ClassesLost: lost})
-		}
+		declaredSum += max(cs.declared, 0)
 	}
 	total := declaredSum
 	if total > maxClasses {
@@ -188,18 +182,18 @@ func salvageV3(data []byte, opts Options, o UnpackOpts) *SalvageResult {
 	}
 	res.TotalClasses = total
 	attributed := 0
-	for _, d := range res.V3Damage {
+	for _, d := range res.Damage {
 		attributed += d.ClassesLost
 	}
 	if un := total - len(res.Classes) - attributed; un > 0 {
-		if len(res.V3Damage) == 0 {
+		if len(res.Damage) == 0 {
 			// The framing walk ended cleanly (e.g. a zeroed length uvarint
 			// reads as the sentinel) yet the index counts more classes:
 			// report the premature end itself.
-			res.V3Damage = append(res.V3Damage, V3Damage{Chunk: -1,
+			res.Damage = append(res.Damage, Damage{Chunk: -1,
 				Err: corrupt.Errorf(sChunks, w.pos, "chunk framing ends early: %d classes unaccounted for", un)})
 		}
-		res.V3Damage[len(res.V3Damage)-1].ClassesLost += un
+		res.Damage[len(res.Damage)-1].ClassesLost += un
 	}
 	return res
 }

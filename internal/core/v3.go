@@ -74,8 +74,9 @@ type ChunkInfo struct {
 	Classes int
 }
 
-// Index is the version-3 class index: where every chunk lives and which
-// classes it holds, in archive order.
+// Index is a class index: where every chunk lives and which classes it
+// holds, in archive order. A version-3 archive carries its index after
+// the chunks.
 type Index struct {
 	// ChunkClasses is the encoder's classes-per-chunk knob (the last
 	// chunk may hold fewer).
@@ -84,34 +85,24 @@ type Index struct {
 	// Names are all class binary names in archive order.
 	Names []string
 
-	starts  []int          // starts[i] = archive ordinal of chunk i's first class
-	byName  map[string]int // name -> archive ordinal (first occurrence)
-	blobOff int64          // absolute offset of the index blob
+	starts  []int // starts[i] = archive ordinal of chunk i's first class
+	blobOff int64 // absolute offset of the index blob
 }
 
-// finalize builds the derived lookup tables after Chunks/Names are set.
-func (ix *Index) finalize() {
-	ix.starts = make([]int, len(ix.Chunks)+1)
-	for i, ch := range ix.Chunks {
+// NewIndex returns the index of an archive laid out as chunks, in
+// archive order, holding the classes named by names. A version-3
+// archive's index is read from its trailer (ReadIndexAt); a random-access
+// reader describes a version-1/2 archive as one chunk spanning its body.
+func NewIndex(chunkClasses int, chunks []ChunkInfo, names []string) *Index {
+	ix := &Index{ChunkClasses: chunkClasses, Chunks: chunks, Names: names, starts: make([]int, len(chunks)+1)}
+	for i, ch := range chunks {
 		ix.starts[i+1] = ix.starts[i] + ch.Classes
 	}
-	ix.byName = make(map[string]int, len(ix.Names))
-	for i, n := range ix.Names {
-		if _, ok := ix.byName[n]; !ok {
-			ix.byName[n] = i
-		}
-	}
+	return ix
 }
 
 // NumClasses is the total class count across all chunks.
 func (ix *Index) NumClasses() int { return len(ix.Names) }
-
-// Ordinal returns the archive ordinal of the named class (its first
-// occurrence, should an archive carry duplicates).
-func (ix *Index) Ordinal(name string) (int, bool) {
-	g, ok := ix.byName[name]
-	return g, ok
-}
 
 // ChunkOf maps an archive ordinal to the chunk holding it.
 func (ix *Index) ChunkOf(ordinal int) int {
@@ -120,17 +111,6 @@ func (ix *Index) ChunkOf(ordinal int) int {
 
 // Start is the archive ordinal of the chunk's first class.
 func (ix *Index) Start(chunk int) int { return ix.starts[chunk] }
-
-// Locate resolves a class name to its chunk and ordinal within that
-// chunk.
-func (ix *Index) Locate(name string) (chunk, ord int, ok bool) {
-	g, ok := ix.byName[name]
-	if !ok {
-		return 0, 0, false
-	}
-	chunk = ix.ChunkOf(g)
-	return chunk, g - ix.starts[chunk], true
-}
 
 // EffectiveBudget resolves the decoded-bytes cap. The delta patch
 // decoder shares the container's limits through it.
@@ -297,7 +277,7 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 			"implausible chunk count %d for %d index bytes", numChunks, len(raw))
 	}
 	maxClasses := EffectiveMaxClasses(o)
-	ix := &Index{ChunkClasses: int(chunkClasses), Chunks: make([]ChunkInfo, 0, numChunks)}
+	chunks := make([]ChunkInfo, 0, numChunks)
 	minOff := int64(7) // header plus at least one length-prefix byte
 	totalClasses := 0
 	for i := uint64(0); i < numChunks; i++ {
@@ -322,7 +302,7 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 				"chunk %d class count %d exceeds remaining cap %d", i, count, maxClasses-totalClasses)
 		}
 		totalClasses += int(count)
-		ix.Chunks = append(ix.Chunks, ChunkInfo{Off: int64(off), Len: int64(length), Classes: int(count)})
+		chunks = append(chunks, ChunkInfo{Off: int64(off), Len: int64(length), Classes: int(count)})
 		minOff = int64(off) + int64(length) + 1 // plus the next length prefix
 	}
 	numNames, err := next("class count")
@@ -338,7 +318,7 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 		return nil, corrupt.Errorf(sIndex, int64(pos),
 			"implausible name count %d for %d index bytes", numNames, len(raw)-pos)
 	}
-	ix.Names = make([]string, 0, numNames)
+	names := make([]string, 0, numNames)
 	for i := uint64(0); i < numNames; i++ {
 		nameLen, err := next("name length")
 		if err != nil {
@@ -347,14 +327,13 @@ func parseIndexRaw(raw []byte, chunkLimit int64, o UnpackOpts) (*Index, error) {
 		if nameLen > uint64(len(raw)-pos) {
 			return nil, corrupt.Errorf(sIndex, int64(pos), "truncated name %d", i)
 		}
-		ix.Names = append(ix.Names, string(raw[pos:pos+int(nameLen)]))
+		names = append(names, string(raw[pos:pos+int(nameLen)]))
 		pos += int(nameLen)
 	}
 	if pos != len(raw) {
 		return nil, corrupt.Errorf(sIndex, int64(pos), "%d trailing index bytes", len(raw)-pos)
 	}
-	ix.finalize()
-	return ix, nil
+	return NewIndex(int(chunkClasses), chunks, names), nil
 }
 
 // errInputEnd stops PackStream's chunk pipeline once next has reported

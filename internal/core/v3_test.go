@@ -214,16 +214,16 @@ func TestV3Index(t *testing.T) {
 		if ix.Names[i] != name {
 			t.Fatalf("index name %d = %q, want %q", i, ix.Names[i], name)
 		}
-		chunk, ord, ok := ix.Locate(name)
-		if !ok {
-			t.Fatalf("Locate(%q) not found", name)
-		}
-		if chunk != i/2 || ord != i%2 {
-			t.Fatalf("Locate(%q) = (%d,%d), want (%d,%d)", name, chunk, ord, i/2, i%2)
+		chunk := ix.ChunkOf(i)
+		if ord := i - ix.Start(chunk); chunk != i/2 || ord != i%2 {
+			t.Fatalf("ordinal %d (%q) maps to (%d,%d), want (%d,%d)", i, name, chunk, ord, i/2, i%2)
 		}
 	}
-	if _, _, ok := ix.Locate("no/such/Class"); ok {
-		t.Fatal("Locate found a class that does not exist")
+	// An ordinal past the last class lies in no chunk. (By-name lookup,
+	// missing names included, is the Archive's job: see the root
+	// package's TestExtractClasses.)
+	if chunk := ix.ChunkOf(ix.NumClasses()); chunk != len(ix.Chunks) {
+		t.Fatalf("ChunkOf(%d) = %d, want %d (no chunk)", ix.NumClasses(), chunk, len(ix.Chunks))
 	}
 }
 
@@ -300,13 +300,9 @@ func TestV3BudgetHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = UnpackStreamOpts(packed, UnpackOpts{MaxDecodedBytes: 64}, func(*classfile.ClassFile) error { return nil })
-	if !errors.Is(err, corrupt.ErrTooLarge) {
-		t.Fatalf("tiny budget: err = %v, want ErrTooLarge", err)
-	}
 	err = UnpackReader(bytes.NewReader(packed), UnpackOpts{MaxDecodedBytes: 64}, func(*classfile.ClassFile) error { return nil })
 	if !errors.Is(err, corrupt.ErrTooLarge) {
-		t.Fatalf("tiny budget (reader): err = %v, want ErrTooLarge", err)
+		t.Fatalf("tiny budget: err = %v, want ErrTooLarge", err)
 	}
 	if _, err := Salvage(packed, UnpackOpts{MaxClassCount: 1}); err != nil {
 		t.Fatalf("Salvage returned a hard error on a capped archive: %v", err)
@@ -319,7 +315,7 @@ func TestV3ClassCountCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = UnpackStreamOpts(packed, UnpackOpts{MaxClassCount: 1}, func(*classfile.ClassFile) error { return nil })
+	err = UnpackReader(bytes.NewReader(packed), UnpackOpts{MaxClassCount: 1}, func(*classfile.ClassFile) error { return nil })
 	if !errors.Is(err, corrupt.ErrTooLarge) {
 		t.Fatalf("class cap: err = %v, want ErrTooLarge", err)
 	}
@@ -380,7 +376,7 @@ func TestV3SalvageChunkIsolation(t *testing.T) {
 	}
 	lost := 0
 	sawVictim := false
-	for _, d := range res.V3Damage {
+	for _, d := range res.Damage {
 		lost += d.ClassesLost
 		if d.Chunk == victim {
 			sawVictim = true
@@ -390,7 +386,7 @@ func TestV3SalvageChunkIsolation(t *testing.T) {
 		}
 	}
 	if !sawVictim {
-		t.Fatalf("no damage attributed to chunk %d: %+v", victim, res.V3Damage)
+		t.Fatalf("no damage attributed to chunk %d: %+v", victim, res.Damage)
 	}
 	if lost != 1 {
 		t.Fatalf("damage accounts for %d lost classes, want 1", lost)
@@ -416,13 +412,13 @@ func TestV3SalvageDestroyedIndex(t *testing.T) {
 		t.Fatalf("recovered %d classes with a destroyed index, want %d", len(res.Classes), len(cfs))
 	}
 	found := false
-	for _, d := range res.V3Damage {
+	for _, d := range res.Damage {
 		if d.Chunk == -1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no container-level damage recorded for the destroyed index: %+v", res.V3Damage)
+		t.Fatalf("no container-level damage recorded for the destroyed index: %+v", res.Damage)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestCompiledProgramSurvivesPacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back []*classfile.ClassFile
-	err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
+	err = core.UnpackReader(bytes.NewReader(packed), core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
 		back = append(back, cf)
 		return nil
 	})

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -446,6 +447,36 @@ func TestArchiveErrors(t *testing.T) {
 	}
 	if _, err := c2.Archive(ctx, res.Digest); err == nil {
 		t.Fatal("archive fetch without a store succeeded")
+	}
+}
+
+// TestJarBombRejected: a ~256 KB jar whose one class member inflates
+// to 256 MiB is answered 413 too_large by /verify and /pack, against
+// the -max-decoded-bytes budget, without inflating past it.
+func TestJarBombRejected(t *testing.T) {
+	bomb := faultinject.JarBomb("Bomb.class", 256)
+	cfg := Config{}
+	cfg.Options.MaxDecodedBytes = 1 << 20
+	_, c, _ := startServer(t, cfg)
+	ctx := context.Background()
+	for _, call := range []struct {
+		name string
+		do   func() error
+	}{
+		{"verify", func() error { _, err := c.Verify(ctx, bomb, false); return err }},
+		{"pack", func() error { _, err := c.Pack(ctx, bomb); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := call.do()
+		runtime.ReadMemStats(&after)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != "too_large" || apiErr.Status != 413 {
+			t.Fatalf("%s of a jar bomb: %v, want too_large/413", call.name, err)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta > 10<<20 {
+			t.Fatalf("%s of a jar bomb allocated %d bytes", call.name, delta)
+		}
 	}
 }
 

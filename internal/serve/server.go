@@ -41,6 +41,7 @@ import (
 	"classpack"
 	"classpack/internal/archive"
 	"classpack/internal/castore"
+	"classpack/internal/core"
 	"classpack/internal/par"
 )
 
@@ -75,7 +76,9 @@ type Config struct {
 	// bounds how many jobs run at once, so total parallelism is roughly
 	// MaxJobs x Concurrency. The packed bytes do not depend on either.
 	// The decode-side fields (MaxDecodedBytes, MaxClassCount) bound
-	// every /unpack request against decompression bombs.
+	// every /unpack request against decompression bombs, and
+	// MaxDecodedBytes also caps how far a /pack or /verify jar's class
+	// members may inflate (413 too_large beyond it).
 	Options classpack.Options
 
 	// Store, when non-nil, caches pack results by content digest.
@@ -453,6 +456,9 @@ func (s *Server) encodePack(r *http.Request, input []byte, digest string) packRe
 	start := time.Now()
 	packed, skipped, err := classpack.PackJar(input, &opts)
 	s.metrics.observeEncode(time.Since(start))
+	if errors.Is(err, classpack.ErrTooLarge) {
+		return packResult{apiErr: errf(http.StatusRequestEntityTooLarge, "too_large", "pack: %v", err)}
+	}
 	if err != nil {
 		return packResult{apiErr: errf(http.StatusUnprocessableEntity, "encode_failed", "pack: %v", err)}
 	}
@@ -593,22 +599,22 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	deep := r.URL.Query().Get("deep") == "1"
 	bytecodeMode := r.URL.Query().Get("bytecode") == "1"
-	members, err := archive.ReadJar(input)
+	budget := core.EffectiveBudget(core.UnpackOpts{MaxDecodedBytes: s.cfg.Options.MaxDecodedBytes})
+	members, skipped, err := archive.ReadJarClasses(input, budget)
+	if errors.Is(err, classpack.ErrTooLarge) {
+		s.writeError(w, errf(http.StatusRequestEntityTooLarge, "too_large", "reading jar: %v", err))
+		return
+	}
 	if err != nil {
 		s.writeError(w, errf(http.StatusBadRequest, "bad_jar", "reading jar: %v", err))
 		return
 	}
-	var names []string
-	var classes [][]byte
-	res := VerifyResult{}
-	for _, m := range members {
-		if strings.HasSuffix(m.Name, ".class") {
-			names = append(names, m.Name)
-			classes = append(classes, m.Data)
-		} else {
-			res.Skipped++
-		}
+	names := make([]string, len(members))
+	classes := make([][]byte, len(members))
+	for i, m := range members {
+		names[i], classes[i] = m.Name, m.Data
 	}
+	res := VerifyResult{Skipped: len(skipped)}
 	release, apiErr := s.acquireJob(r.Context())
 	if apiErr != nil {
 		s.writeError(w, apiErr)

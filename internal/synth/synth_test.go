@@ -84,7 +84,7 @@ func TestGeneratedCorpusPacksRoundTrip(t *testing.T) {
 		t.Fatalf("Pack: %v", err)
 	}
 	var back []*classfile.ClassFile
-	err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
+	err = core.UnpackReader(bytes.NewReader(packed), core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
 		back = append(back, cf)
 		return nil
 	})

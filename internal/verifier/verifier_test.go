@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"bytes"
 	"testing"
 
 	"classpack/internal/bytecode"
@@ -132,7 +133,7 @@ func TestUnpackedArchiveVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back []*classfile.ClassFile
-	err = core.UnpackStreamOpts(packed, core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
+	err = core.UnpackReader(bytes.NewReader(packed), core.UnpackOpts{}, func(cf *classfile.ClassFile) error {
 		back = append(back, cf)
 		return nil
 	})

@@ -30,9 +30,10 @@ var ErrAmbiguousClass = errors.New("classpack: class name occurs more than once 
 // archive it reads only the 6-byte header and the trailing class index
 // at open; class bodies decode lazily, one chunk at a time, when
 // extracted — so serving one class from an N-class archive costs
-// O(chunk) decode work and memory, not O(N). Version-1/2 archives have
-// no internal framing, so they are decoded eagerly at open and served
-// from memory.
+// O(chunk) decode work and memory, not O(N). A version-1/2 archive has
+// no internal framing: it is one chunk spanning the whole body, decoded
+// eagerly at open and held as the cached chunk, so every later
+// extraction is served from memory.
 //
 // An Archive is safe for concurrent use. It retains the io.ReaderAt.
 type Archive struct {
@@ -44,12 +45,9 @@ type Archive struct {
 	copts   core.Options
 	uo      core.UnpackOpts
 
-	ix     *core.Index // version 3 only
-	names  []string    // class binary names in archive order
-	byName map[string]int
+	ix     *core.Index     // chunks and class names in archive order
+	byName map[string]int  // class name -> archive ordinal (first occurrence)
 	dup    map[string]bool // names occurring more than once (usually nil)
-
-	files []File // version 1/2: eager decode of the whole archive
 
 	cachedChunk int // last decoded chunk (-1 = none)
 	cachedFiles []File
@@ -120,22 +118,21 @@ func OpenArchive(r io.ReaderAt, size int64, opts *Options) (*Archive, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.files = files
-		a.decoded = decoded
-		a.names = make([]string, len(files))
+		names := make([]string, len(files))
 		for i, f := range files {
-			a.names[i] = strings.TrimSuffix(f.Name, ".class")
+			names[i] = trimClass(f.Name)
 		}
+		a.ix = core.NewIndex(0, []core.ChunkInfo{{Off: 6, Len: size - 6, Classes: len(files)}}, names)
+		a.cachedChunk, a.cachedFiles, a.decoded = 0, files, decoded
 	} else {
 		ix, err := core.ReadIndexAt(cr, size, uo)
 		if err != nil {
 			return nil, err
 		}
 		a.ix = ix
-		a.names = ix.Names
 	}
-	a.byName = make(map[string]int, len(a.names))
-	for i, n := range a.names {
+	a.byName = make(map[string]int, len(a.ix.Names))
+	for i, n := range a.ix.Names {
 		if _, ok := a.byName[n]; ok {
 			// Duplicate entries make by-name lookup ambiguous; remember
 			// them so ExtractClass can refuse instead of silently serving
@@ -194,22 +191,17 @@ func decodeFiles(copts core.Options, body []byte, checked bool, uo core.UnpackOp
 func (a *Archive) Version() byte { return a.version }
 
 // NumClasses is the number of classes in the archive.
-func (a *Archive) NumClasses() int { return len(a.names) }
+func (a *Archive) NumClasses() int { return a.ix.NumClasses() }
 
 // ClassNames returns every class binary name in archive order.
 func (a *Archive) ClassNames() []string {
-	out := make([]string, len(a.names))
-	copy(out, a.names)
+	out := make([]string, len(a.ix.Names))
+	copy(out, a.ix.Names)
 	return out
 }
 
 // ChunkClasses is the archive's classes-per-chunk (0 for version 1/2).
-func (a *Archive) ChunkClasses() int {
-	if a.ix == nil {
-		return 0
-	}
-	return a.ix.ChunkClasses
-}
+func (a *Archive) ChunkClasses() int { return a.ix.ChunkClasses }
 
 // ChunkSummary describes one chunk without decoding it.
 type ChunkSummary struct {
@@ -217,9 +209,10 @@ type ChunkSummary struct {
 	CompressedBytes int64
 }
 
-// Chunks summarizes the archive's chunks; nil for version 1/2.
+// Chunks summarizes the archive's chunks; nil for version 1/2, whose
+// body is not chunked.
 func (a *Archive) Chunks() []ChunkSummary {
-	if a.ix == nil {
+	if a.version != core.Version3 {
 		return nil
 	}
 	out := make([]ChunkSummary, len(a.ix.Chunks))
@@ -275,9 +268,6 @@ func (a *Archive) ExtractClass(name string) ([]byte, error) {
 // fileAt returns the serialized file for an archive ordinal, decoding
 // (and caching) its chunk if needed. Caller holds a.mu.
 func (a *Archive) fileAt(g int) (File, error) {
-	if a.ix == nil {
-		return a.files[g], nil
-	}
 	ci := a.ix.ChunkOf(g)
 	files, err := a.chunkFiles(ci)
 	if err != nil {
@@ -307,7 +297,7 @@ func (a *Archive) chunkFiles(ci int) ([]File, error) {
 		return nil, corrupt.Errorf("index", -1, "chunk %d holds %d classes, index says %d", ci, len(files), ch.Classes)
 	}
 	for i, f := range files {
-		if trimClass(f.Name) != a.names[start+i] {
+		if trimClass(f.Name) != a.ix.Names[start+i] {
 			return nil, corrupt.Errorf("index", -1, "chunk %d class %d is %q, index disagrees", ci, i, trimClass(f.Name))
 		}
 	}
@@ -340,19 +330,13 @@ func (a *Archive) ExtractClasses(names []string) ([]File, error) {
 // decode in ascending order, each at most once per call.
 func (a *Archive) ExtractOrdinals(ords []int) ([]File, error) {
 	for _, g := range ords {
-		if g < 0 || g >= len(a.names) {
-			return nil, fmt.Errorf("classpack: ordinal %d out of range [0,%d)", g, len(a.names))
+		if g < 0 || g >= a.NumClasses() {
+			return nil, fmt.Errorf("classpack: ordinal %d out of range [0,%d)", g, a.NumClasses())
 		}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]File, len(ords))
-	if a.ix == nil {
-		for i, g := range ords {
-			out[i] = a.files[g]
-		}
-		return out, nil
-	}
 	// Resolve chunk by chunk in ascending order so each chunk is decoded
 	// at most once even when the request order jumps around.
 	byChunk := make(map[int][]int) // chunk -> positions in the request
@@ -396,7 +380,7 @@ func (a *Archive) Select(patterns ...string) ([]string, error) {
 	}
 	var out []string
 	for _, g := range ords {
-		out = append(out, a.names[g])
+		out = append(out, a.ix.Names[g])
 	}
 	return out, nil
 }
@@ -422,7 +406,7 @@ func (a *Archive) SelectOrdinals(patterns ...string) ([]int, error) {
 		exact[trimClass(p)] = true
 	}
 	var out []int
-	for i, name := range a.names {
+	for i, name := range a.ix.Names {
 		if exact[name] {
 			out = append(out, i)
 			continue

@@ -32,21 +32,30 @@ type DamageRegion struct {
 	ClassesLost int `json:"classes_lost"`
 }
 
-// SalvageResult is what Salvage pulled out of a damaged archive.
+// SalvageResult is what Salvage pulled out of a damaged archive. Every
+// container version reports the same shape: a version-1/2 archive is
+// one container body, a version-3 archive one body per chunk, and
+// damage is listed per body in the order it was found.
 type SalvageResult struct {
 	// Files are the recovered classes in archive order. For version-2
-	// (checksummed) archives they are byte-identical to what a clean
-	// unpack would have produced; version-1 archives carry no integrity
-	// data, so damage that happens to decode is undetectable there.
+	// and version-3 (checksummed) archives they are byte-identical to
+	// what a clean unpack would have produced; version-1 archives carry
+	// no integrity data, so damage that happens to decode is
+	// undetectable there.
 	Files []File `json:"-"`
-	// TotalClasses is the class count the archive's directory declared
-	// (0 when the directory itself was unreadable).
+	// TotalClasses is the class count the archive declared: the
+	// version-3 class index when it parses, otherwise the body's (or
+	// the readable chunks') own counts; 0 when none was readable.
 	TotalClasses int `json:"total"`
 	// Recovered == len(Files).
 	Recovered int `json:"recovered"`
 	// Lost = TotalClasses - Recovered.
 	Lost int `json:"lost"`
-	// Damage lists every damaged region found, in detection order.
+	// Damage lists every damaged region found, in detection order. For
+	// each body, the quarantined streams decoding did not die on come
+	// first, then the failure that ended decoding, charged with the
+	// classes the body lost (a quarantined stream decoding died on is
+	// listed there, once).
 	Damage []DamageRegion `json:"damage,omitempty"`
 }
 
@@ -65,10 +74,9 @@ type SalvageResult struct {
 // damaged chunk costs only its own classes and decoding resumes at the
 // next chunk boundary (damage regions carry a "chunkN/" stream prefix).
 // Classes that decode but fail to reserialize are skipped individually.
-// On version-1 archives,
-// which predate the checksums, salvage is best-effort: damage is only
-// noticed when decoding trips over it, so recovered classes are not
-// guaranteed byte-identical.
+// On version-1 archives, which predate the checksums, salvage is
+// best-effort: damage is only noticed when decoding trips over it, so
+// recovered classes are not guaranteed byte-identical.
 //
 // The error return is reserved for inputs that are not a packed archive
 // at all (bad magic, unknown version, undecodable scheme) and for
@@ -83,46 +91,17 @@ func Salvage(data []byte, opts *Options) (*SalvageResult, error) {
 		return nil, err
 	}
 	res := &SalvageResult{TotalClasses: cres.TotalClasses}
-	if cres.Version == core.Version3 {
-		// Version-3 damage is chunk-attributed: the stream name gains a
-		// "chunkN/" prefix so a report distinguishes which failure domain
-		// each region lies in (chunk framing, index and footer damage
-		// stay unprefixed).
-		for _, d := range cres.V3Damage {
-			r := region(d.Err)
-			if d.Chunk >= 0 {
-				r.Stream = fmt.Sprintf("chunk%d/%s", d.Chunk, r.Stream)
-			}
-			r.ClassesLost = d.ClassesLost
-			res.Damage = append(res.Damage, r)
+	// Version-3 damage is chunk-attributed: the stream name gains a
+	// "chunkN/" prefix so a report distinguishes which failure domain
+	// each region lies in. Damage outside any chunk (a version-1/2 body,
+	// chunk framing, index and footer) stays unprefixed.
+	for _, d := range cres.Damage {
+		r := region(d.Err)
+		if d.Chunk >= 0 {
+			r.Stream = fmt.Sprintf("chunk%d/%s", d.Chunk, r.Stream)
 		}
-		reserializeInto(res, cres.Classes, o.Concurrency)
-		return res, nil
-	}
-	for _, q := range cres.Quarantined {
-		res.Damage = append(res.Damage, region(q))
-	}
-	if cres.Abort != nil {
-		lost := 0
-		if cres.AbortClass >= 0 {
-			lost = cres.TotalClasses - cres.AbortClass
-		}
-		// When decoding died on a quarantined stream the abort error is
-		// that stream's own quarantine entry: attribute the loss there
-		// instead of reporting the same damage twice.
-		attributed := false
-		for i, q := range cres.Quarantined {
-			if q == cres.Abort {
-				res.Damage[i].ClassesLost = lost
-				attributed = true
-				break
-			}
-		}
-		if !attributed {
-			r := region(cres.Abort)
-			r.ClassesLost = lost
-			res.Damage = append(res.Damage, r)
-		}
+		r.ClassesLost = d.ClassesLost
+		res.Damage = append(res.Damage, r)
 	}
 	reserializeInto(res, cres.Classes, o.Concurrency)
 	return res, nil

@@ -148,9 +148,11 @@ func decodeOutcome(t *testing.T, data []byte, j int) workerOutcome {
 		return o
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "total %d abort %v at %d quarantined %v", cres.TotalClasses, cres.Abort, cres.AbortClass, cres.Quarantined)
-	for _, d := range cres.V3Damage {
+	fmt.Fprintf(&b, "total %d", cres.TotalClasses)
+	lost := 0
+	for _, d := range cres.Damage {
 		fmt.Fprintf(&b, " [chunk %d lost %d: %v]", d.Chunk, d.ClassesLost, d.Err)
+		lost += d.ClassesLost
 	}
 	h := sha256.New()
 	for _, cf := range cres.Classes {
@@ -162,7 +164,7 @@ func decodeOutcome(t *testing.T, data []byte, j int) workerOutcome {
 	}
 	fmt.Fprintf(&b, " classes %d %x", len(cres.Classes), h.Sum(nil))
 	o.coreSalvage = b.String()
-	o.midArchive = cres.AbortClass > 0 || len(cres.V3Damage) > 0 && len(cres.Classes) > 0
+	o.midArchive = lost > 0 && len(cres.Classes) > 0
 	return o
 }
 
